@@ -3,7 +3,8 @@
 //! of Figs. 8/12; the `figures` binary prints the full sweeps).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hermit_core::{BatchOptions, Database, RangePredicate};
+use hermit_bench::harness::{point_plans, range_plans};
+use hermit_core::{Database, PlanKind, Query, QueryPlan};
 use hermit_storage::TidScheme;
 use hermit_workloads::synthetic::cols;
 use hermit_workloads::{build_synthetic, CorrelationKind, QueryGen, SyntheticConfig};
@@ -18,6 +19,23 @@ fn setup(kind: CorrelationKind, scheme: TidScheme) -> (Database, Database, Synth
     (hermit, baseline, cfg)
 }
 
+/// Register one benchmark that executes `plans` round-robin on `db`.
+fn bench_plans(
+    group: &mut criterion::BenchmarkGroup,
+    id: BenchmarkId,
+    db: &Database,
+    plans: &[QueryPlan],
+) {
+    group.bench_function(id, |b| {
+        let mut i = 0usize;
+        b.iter(|| {
+            let plan = &plans[i % plans.len()];
+            i += 1;
+            std::hint::black_box(db.execute_plan(plan))
+        })
+    });
+}
+
 fn bench_range(c: &mut Criterion) {
     let mut group = c.benchmark_group("pipeline_range_0.05pct");
     group.sample_size(30).measurement_time(Duration::from_secs(2));
@@ -25,28 +43,12 @@ fn bench_range(c: &mut Criterion) {
         for scheme in [TidScheme::Logical, TidScheme::Physical] {
             let (hermit, baseline, cfg) = setup(kind, scheme);
             let mut gen = QueryGen::new(cfg.target_domain(), 0xBE7C);
-            let queries = gen.ranges(0.0005, 256);
+            let ranges = gen.ranges(0.0005, 256);
             let label = format!("{}_{}", kind.label(), scheme.label());
-            group.bench_function(BenchmarkId::new("hermit", &label), |b| {
-                let mut i = 0usize;
-                b.iter(|| {
-                    let (lb, ub) = queries[i % queries.len()];
-                    i += 1;
-                    std::hint::black_box(
-                        hermit.lookup_range(RangePredicate::range(cols::COL_C, lb, ub), None),
-                    )
-                })
-            });
-            group.bench_function(BenchmarkId::new("baseline", &label), |b| {
-                let mut i = 0usize;
-                b.iter(|| {
-                    let (lb, ub) = queries[i % queries.len()];
-                    i += 1;
-                    std::hint::black_box(
-                        baseline.lookup_range(RangePredicate::range(cols::COL_C, lb, ub), None),
-                    )
-                })
-            });
+            let plans = range_plans(&hermit, PlanKind::Hermit, cols::COL_C, &ranges);
+            bench_plans(&mut group, BenchmarkId::new("hermit", &label), &hermit, &plans);
+            let plans = range_plans(&baseline, PlanKind::Baseline, cols::COL_C, &ranges);
+            bench_plans(&mut group, BenchmarkId::new("baseline", &label), &baseline, &plans);
         }
     }
     group.finish();
@@ -59,62 +61,34 @@ fn bench_point(c: &mut Criterion) {
         let (hermit, baseline, cfg) = setup(CorrelationKind::Sigmoid, scheme);
         let mut gen = QueryGen::new(cfg.target_domain(), 0xBE7D);
         let points = gen.points(1024);
-        group.bench_function(BenchmarkId::new("hermit", scheme.label()), |b| {
-            let mut i = 0usize;
-            b.iter(|| {
-                let p = points[i % points.len()];
-                i += 1;
-                std::hint::black_box(hermit.lookup_point(cols::COL_C, p))
-            })
-        });
-        group.bench_function(BenchmarkId::new("baseline", scheme.label()), |b| {
-            let mut i = 0usize;
-            b.iter(|| {
-                let p = points[i % points.len()];
-                i += 1;
-                std::hint::black_box(baseline.lookup_point(cols::COL_C, p))
-            })
-        });
+        let plans = point_plans(&hermit, PlanKind::Hermit, cols::COL_C, &points);
+        bench_plans(&mut group, BenchmarkId::new("hermit", scheme.label()), &hermit, &plans);
+        let plans = point_plans(&baseline, PlanKind::Baseline, cols::COL_C, &points);
+        bench_plans(&mut group, BenchmarkId::new("baseline", scheme.label()), &baseline, &plans);
     }
     group.finish();
 }
 
-/// Scalar vs batched executor over the same 256-query workload: one
-/// iteration = the whole batch, so the two rows compare directly. The
-/// batched path reuses TRS/candidate scratch across queries and validates
-/// candidates in page order (`Database::lookup_batch`).
+/// `execute` per query vs one `execute_batch` over the same 256-query
+/// workload: one iteration = the whole set, so the two rows compare
+/// directly. The batch reuses TRS/candidate scratch across queries.
 fn bench_batched(c: &mut Criterion) {
     let mut group = c.benchmark_group("pipeline_range_0.05pct_x256");
     group.sample_size(10).measurement_time(Duration::from_secs(2));
     for scheme in [TidScheme::Logical, TidScheme::Physical] {
         let (hermit, _baseline, cfg) = setup(CorrelationKind::Sigmoid, scheme);
         let mut gen = QueryGen::new(cfg.target_domain(), 0xBE7E);
-        let preds: Vec<RangePredicate> = gen
-            .ranges(0.0005, 256)
-            .into_iter()
-            .map(|(lb, ub)| RangePredicate::range(cols::COL_C, lb, ub))
-            .collect();
-        group.bench_function(BenchmarkId::new("scalar", scheme.label()), |b| {
-            b.iter(|| {
-                let mut rows = 0usize;
-                for &p in &preds {
-                    rows += hermit.lookup_range(p, None).rows.len();
-                }
-                rows
-            })
+        let ranges = gen.ranges(0.0005, 256);
+        // Planned only to assert every query takes the Hermit route; the
+        // timed loops plan again, as a request does.
+        range_plans(&hermit, PlanKind::Hermit, cols::COL_C, &ranges);
+        let queries: Vec<Query> =
+            ranges.iter().map(|&(lb, ub)| Query::new().range(cols::COL_C, lb, ub)).collect();
+        group.bench_function(BenchmarkId::new("execute", scheme.label()), |b| {
+            b.iter(|| queries.iter().map(|q| hermit.execute(q).rows.len()).sum::<usize>())
         });
-        group.bench_function(BenchmarkId::new("batched", scheme.label()), |b| {
-            b.iter(|| hermit.lookup_batch(&preds).iter().map(|r| r.rows.len()).sum::<usize>())
-        });
-        group.bench_function(BenchmarkId::new("batched_mt4", scheme.label()), |b| {
-            let opts = BatchOptions::with_threads(4);
-            b.iter(|| {
-                hermit
-                    .lookup_batch_with(&preds, None, &opts)
-                    .iter()
-                    .map(|r| r.rows.len())
-                    .sum::<usize>()
-            })
+        group.bench_function(BenchmarkId::new("execute_batch", scheme.label()), |b| {
+            b.iter(|| hermit.execute_batch(&queries).iter().map(|r| r.rows.len()).sum::<usize>())
         });
     }
     group.finish();

@@ -4,13 +4,14 @@
 //! Planning must stay negligible next to execution — the planner runs once
 //! per query in front of every lookup the system serves. `plan_only`
 //! measures enumeration + costing in isolation; `execute_overhead`
-//! compares `execute` (plan + run) against the legacy forced-path
-//! `lookup_range` on the same predicates; `plan_shapes` covers each access
+//! compares `execute` (plan + run) against `execute_plan` on the same
+//! queries planned up front; `plan_shapes` covers each access
 //! path the planner can emit, including the composite box and the seq-scan
 //! fallback.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hermit_core::{Database, Query, RangePredicate};
+use hermit_bench::harness::range_plans;
+use hermit_core::{Database, PlanKind, Query};
 use hermit_storage::TidScheme;
 use hermit_workloads::synthetic::cols;
 use hermit_workloads::{build_synthetic, CorrelationKind, QueryGen, SyntheticConfig};
@@ -54,15 +55,15 @@ fn bench_execute_overhead(c: &mut Criterion) {
     let (db, cfg) = setup();
     let mut gen = QueryGen::new(cfg.target_domain(), 0x91A8);
     let ranges = gen.ranges(0.0005, 256);
-    let preds: Vec<RangePredicate> =
-        ranges.iter().map(|&(lb, ub)| RangePredicate::range(cols::COL_C, lb, ub)).collect();
-    let queries: Vec<Query> = preds.iter().map(|&p| Query::filter(p)).collect();
-    group.bench_function(BenchmarkId::new("lookup_range", "hermit"), |b| {
+    let queries: Vec<Query> =
+        ranges.iter().map(|&(lb, ub)| Query::new().range(cols::COL_C, lb, ub)).collect();
+    let plans = range_plans(&db, PlanKind::Hermit, cols::COL_C, &ranges);
+    group.bench_function(BenchmarkId::new("execute_plan", "hermit"), |b| {
         let mut i = 0usize;
         b.iter(|| {
-            let p = preds[i % preds.len()];
+            let plan = &plans[i % plans.len()];
             i += 1;
-            std::hint::black_box(db.lookup_range(p, None))
+            std::hint::black_box(db.execute_plan(plan))
         })
     });
     group.bench_function(BenchmarkId::new("execute", "hermit"), |b| {

@@ -1,9 +1,10 @@
-//! Release-mode bench smoke: scalar vs batched lookup throughput.
+//! Release-mode bench smoke: lookup throughput plus the serving,
+//! durability, transaction and analyzer sections.
 //!
-//! Runs the paper's `lookup` experiment workload through both executor
-//! paths on both storage substrates and writes the results to
-//! `BENCH_lookup.json`, so CI has a cheap guard against the batched
-//! pipeline bit-rotting (and a recorded scalar-vs-batched ratio per run).
+//! Runs the paper's `lookup` experiment workload on both storage
+//! substrates, once query by query through `Database::execute` (the path a
+//! request takes) and once as one `Database::execute_batch`, and writes
+//! the results to `BENCH_lookup.json`.
 //!
 //! ```text
 //! bench_smoke [--rows N] [--out PATH]
@@ -11,14 +12,14 @@
 //!
 //! The paged substrate uses a zero-latency simulated store with a pool
 //! large enough to keep every page hot: what remains is exactly the
-//! per-access buffer-pool overhead (lock + frame lookup + copy) that the
-//! page-grouped batch path amortizes — the §7.8 regime with the device
+//! per-access buffer-pool overhead (lock + frame lookup + copy) that
+//! page-grouped validation amortizes — the §7.8 regime with the device
 //! taken out of the equation.
 
 use hermit_bench::harness::measure_ops_with;
 use hermit_core::recovery::{DurabilityConfig, PAGES_FILE};
 use hermit_core::shared::{MaintenanceConfig, MaintenanceWorker, SharedDatabase};
-use hermit_core::{BatchOptions, Database, PlanKind, Query, RangePredicate};
+use hermit_core::{Database, PlanKind, Query};
 use hermit_storage::paged::{BufferPool, PagedTable, SimulatedPageStore};
 use hermit_storage::wal::{WalRecord, WalWriter};
 use hermit_storage::{ColumnDef, Schema, TidScheme, Value};
@@ -38,22 +39,18 @@ struct Variant {
     queries_per_sec: f64,
 }
 
-/// Throughputs (queries/second) for one workload on one database.
-fn run_workload(db: &Database, preds: &[RangePredicate]) -> Vec<Variant> {
-    let scalar = measure_ops_with(BUDGET, 4, 1_000_000, |i| {
-        std::hint::black_box(db.lookup_range(preds[i % preds.len()], None).rows.len());
+/// Throughputs (queries/second) for one workload on one database: each
+/// query planned and executed on its own, and the whole set as one batch.
+fn run_workload(db: &Database, queries: &[Query]) -> Vec<Variant> {
+    let execute = measure_ops_with(BUDGET, 4, 1_000_000, |i| {
+        std::hint::black_box(db.execute(&queries[i % queries.len()]).rows.len());
     });
-    let batched = measure_ops_with(BUDGET, 2, 100_000, |_| {
-        std::hint::black_box(db.lookup_batch(preds).len());
-    }) * preds.len() as f64;
-    let opts = BatchOptions::with_threads(4);
-    let batched_mt = measure_ops_with(BUDGET, 2, 100_000, |_| {
-        std::hint::black_box(db.lookup_batch_with(preds, None, &opts).len());
-    }) * preds.len() as f64;
+    let batch = measure_ops_with(BUDGET, 2, 100_000, |_| {
+        std::hint::black_box(db.execute_batch(queries).len());
+    }) * queries.len() as f64;
     vec![
-        Variant { name: "scalar", queries_per_sec: scalar },
-        Variant { name: "batched", queries_per_sec: batched },
-        Variant { name: "batched_mt4", queries_per_sec: batched_mt },
+        Variant { name: "execute", queries_per_sec: execute },
+        Variant { name: "execute_batch", queries_per_sec: batch },
     ]
 }
 
@@ -81,33 +78,26 @@ fn build_paged(rows: usize) -> Database {
     db
 }
 
-fn preds_for(
-    domain: (f64, f64),
-    target_col: usize,
-    seed: u64,
-) -> (Vec<RangePredicate>, Vec<RangePredicate>) {
+fn queries_for(domain: (f64, f64), target_col: usize, seed: u64) -> (Vec<Query>, Vec<Query>) {
     let mut gen = QueryGen::new(domain, seed);
     let ranges = gen
         .ranges(RANGE_SELECTIVITY, RANGE_QUERIES)
         .into_iter()
-        .map(|(lb, ub)| RangePredicate::range(target_col, lb, ub))
+        .map(|(lb, ub)| Query::new().range(target_col, lb, ub))
         .collect();
-    let points = gen
-        .points(POINT_QUERIES)
-        .into_iter()
-        .map(|p| RangePredicate::point(target_col, p))
-        .collect();
+    let points =
+        gen.points(POINT_QUERIES).into_iter().map(|p| Query::new().point(target_col, p)).collect();
     (ranges, points)
 }
 
-/// Per-plan-kind counts for one predicate set, as a JSON object: how the
+/// Per-plan-kind counts for one query set, as a JSON object: how the
 /// cost-based planner routes this workload today. A regression that flips
 /// queries from the Hermit route to the scan fallback (or vice versa)
 /// shows up directly in the perf trajectory.
-fn plan_counts(db: &Database, preds: &[RangePredicate]) -> String {
+fn plan_counts(db: &Database, queries: &[Query]) -> String {
     let mut counts = [0usize; PlanKind::ALL.len()];
-    for &p in preds {
-        let kind = db.plan(&Query::filter(p)).kind();
+    for q in queries {
+        let kind = db.plan(q).kind();
         let slot = PlanKind::ALL.iter().position(|k| *k == kind).expect("kind is in ALL");
         counts[slot] += 1;
     }
@@ -148,12 +138,12 @@ fn concurrent_throughput(rows: usize, readers: usize, budget: Duration) -> (f64,
     let stop = AtomicBool::new(false);
     let reads = AtomicU64::new(0);
     let writes = AtomicU64::new(0);
-    let elapsed = crossbeam::thread::scope(|s| {
+    let elapsed = std::thread::scope(|s| {
         // One writer: steady insert/delete churn on its own pk range.
         {
             let shared = shared.clone();
             let (stop, writes) = (&stop, &writes);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut pk = 10_000_000i64;
                 while !stop.load(Ordering::Relaxed) {
                     let m = (pk % rows as i64) as f64 + 0.5;
@@ -171,7 +161,7 @@ fn concurrent_throughput(rows: usize, readers: usize, budget: Duration) -> (f64,
         for r in 0..readers {
             let shared = shared.clone();
             let (stop, reads, queries) = (&stop, &reads, &queries);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut i = r;
                 while !stop.load(Ordering::Relaxed) {
                     std::hint::black_box(shared.execute(&queries[i % queries.len()]).rows.len());
@@ -184,8 +174,7 @@ fn concurrent_throughput(rows: usize, readers: usize, budget: Duration) -> (f64,
         std::thread::sleep(budget);
         stop.store(true, Ordering::Relaxed);
         t0.elapsed()
-    })
-    .unwrap();
+    });
     let secs = elapsed.as_secs_f64();
     (reads.load(Ordering::Relaxed) as f64 / secs, writes.load(Ordering::Relaxed) as f64 / secs)
 }
@@ -248,11 +237,11 @@ fn server_throughput(rows: usize, clients: usize, budget: Duration) -> String {
         qs
     };
     let stop = AtomicBool::new(false);
-    let (latencies, elapsed) = crossbeam::thread::scope(|s| {
+    let (latencies, elapsed) = std::thread::scope(|s| {
         let handles: Vec<_> = (0..clients)
             .map(|c| {
                 let (stop, queries) = (&stop, &queries);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let mut client = HermitClient::connect(addr).expect("connect bench client");
                     let mut lats = Vec::with_capacity(1 << 14);
                     let mut i = c;
@@ -275,8 +264,7 @@ fn server_throughput(rows: usize, clients: usize, budget: Duration) -> String {
             all.extend(h.join().unwrap());
         }
         (all, t0.elapsed())
-    })
-    .unwrap();
+    });
     server.stop();
     let mut lats = latencies;
     lats.sort_unstable();
@@ -414,11 +402,11 @@ fn txn_metrics(rows: usize) -> String {
         };
         let stop = AtomicBool::new(false);
         let reads = AtomicU64::new(0);
-        let elapsed = crossbeam::thread::scope(|s| {
+        let elapsed = std::thread::scope(|s| {
             {
                 let shared = shared.clone();
                 let stop = &stop;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let mut pk = 40_000_000i64;
                     while !stop.load(Ordering::Relaxed) {
                         let txn = shared.begin().expect("bench begin");
@@ -439,7 +427,7 @@ fn txn_metrics(rows: usize) -> String {
             for r in 0..readers {
                 let shared = shared.clone();
                 let (stop, reads, queries) = (&stop, &reads, &queries);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let mut i = r;
                     while !stop.load(Ordering::Relaxed) {
                         std::hint::black_box(
@@ -454,8 +442,7 @@ fn txn_metrics(rows: usize) -> String {
             std::thread::sleep(BUDGET);
             stop.store(true, Ordering::Relaxed);
             t0.elapsed()
-        })
-        .unwrap();
+        });
         let qps = reads.load(Ordering::Relaxed) as f64 / elapsed.as_secs_f64();
         println!("txn    snapshot {readers} reader(s) + 1 txn writer: {qps:>12.0} q/s");
         reader_qps[slot] = qps;
@@ -473,9 +460,8 @@ fn txn_metrics(rows: usize) -> String {
 fn json_variants(variants: &[Variant]) -> String {
     let fields: Vec<String> =
         variants.iter().map(|v| format!("\"{}\": {:.1}", v.name, v.queries_per_sec)).collect();
-    let scalar = variants[0].queries_per_sec;
-    let batched = variants[1].queries_per_sec;
-    format!("{{{}, \"speedup_batched\": {:.2}}}", fields.join(", "), batched / scalar)
+    let ratio = variants[1].queries_per_sec / variants[0].queries_per_sec;
+    format!("{{{}, \"batch_over_execute\": {ratio:.2}}}", fields.join(", "))
 }
 
 /// Time a full `hermit-lint` pass (load + every rule family including the
@@ -549,33 +535,23 @@ fn main() {
     };
     let mut mem = build_synthetic(&cfg, TidScheme::Physical);
     mem.create_hermit_index(cols::COL_C, cols::COL_B).unwrap();
-    let (mem_ranges, mem_points) = preds_for(cfg.target_domain(), cols::COL_C, 0x5E0C);
+    let (mem_ranges, mem_points) = queries_for(cfg.target_domain(), cols::COL_C, 0x5E0C);
 
     // Paged substrate: same shape, hot sharded pool.
     let paged = build_paged(rows);
-    let (paged_ranges, paged_points) = preds_for((0.0, (rows - 1) as f64), 2, 0x5E0D);
+    let (paged_ranges, paged_points) = queries_for((0.0, (rows - 1) as f64), 2, 0x5E0D);
 
     let mut sections = Vec::new();
-    let mut headline: f64 = 0.0;
     for (substrate, db, ranges, points) in
         [("mem", &mem, &mem_ranges, &mem_points), ("paged", &paged, &paged_ranges, &paged_points)]
     {
         let range_v = run_workload(db, ranges);
         let point_v = run_workload(db, points);
         for (workload, v) in [("range", &range_v), ("point", &point_v)] {
-            let speedup = v[1].queries_per_sec / v[0].queries_per_sec;
             println!(
-                "{substrate:<6} {workload:<6} scalar {:>12.0} q/s   batched {:>12.0} q/s   mt4 {:>12.0} q/s   speedup {:.2}x",
-                v[0].queries_per_sec, v[1].queries_per_sec, v[2].queries_per_sec, speedup
+                "{substrate:<6} {workload:<6} execute {:>12.0} q/s   execute_batch {:>12.0} q/s",
+                v[0].queries_per_sec, v[1].queries_per_sec
             );
-        }
-        // The headline is the lookup experiment's primary workload — range
-        // lookups (Figs. 8–9) — on the paged substrate, where validation is
-        // page accesses and page-grouped fetching is the point. Point
-        // lookups (one candidate ≈ one page access either way) are
-        // recorded but can only gain from scratch reuse.
-        if substrate == "paged" {
-            headline = range_v[1].queries_per_sec / range_v[0].queries_per_sec;
         }
         let range_plans = plan_counts(db, ranges);
         let point_plans = plan_counts(db, points);
@@ -609,7 +585,7 @@ fn main() {
     let analysis_json = analyzer_wall_time();
 
     let json = format!(
-        "{{\n  \"experiment\": \"lookup\",\n  \"rows\": {rows},\n  \"range_selectivity\": {RANGE_SELECTIVITY},\n  \"range_queries\": {RANGE_QUERIES},\n  \"point_queries\": {POINT_QUERIES},\n  \"units\": \"queries_per_sec\",\n  \"substrates\": {{\n{}\n  }},\n  \"concurrent\": {{{}, \"writer_ops_per_sec\": {:.1}, \"reorg\": {}}},\n  \"durability\": {},\n  \"txn\": {},\n  \"server\": {},\n  \"analysis\": {},\n  \"headline_speedup_paged_range\": {:.2}\n}}\n",
+        "{{\n  \"experiment\": \"lookup\",\n  \"rows\": {rows},\n  \"range_selectivity\": {RANGE_SELECTIVITY},\n  \"range_queries\": {RANGE_QUERIES},\n  \"point_queries\": {POINT_QUERIES},\n  \"units\": \"queries_per_sec\",\n  \"substrates\": {{\n{}\n  }},\n  \"concurrent\": {{{}, \"writer_ops_per_sec\": {:.1}, \"reorg\": {}}},\n  \"durability\": {},\n  \"txn\": {},\n  \"server\": {},\n  \"analysis\": {}\n}}\n",
         sections.join(",\n"),
         reader_fields.join(", "),
         writer_field,
@@ -617,12 +593,11 @@ fn main() {
         durability_json,
         txn_json,
         server_json,
-        analysis_json,
-        headline
+        analysis_json
     );
     std::fs::write(&out, &json).unwrap_or_else(|e| {
         eprintln!("cannot write {out}: {e}");
         std::process::exit(1);
     });
-    println!("wrote {out} (paged range batched speedup: {headline:.2}x)");
+    println!("wrote {out}");
 }

@@ -4,7 +4,7 @@
 
 use crate::harness::{self, measure_ops, Scale};
 use hermit_cm::{CmParams, CorrelationMap};
-use hermit_core::{Database, RangePredicate};
+use hermit_core::{Database, PlanKind, RangePredicate};
 use hermit_storage::{F64Key, RowLoc, Tid, TidScheme};
 use hermit_workloads::synthetic::cols;
 use hermit_workloads::{build_synthetic, CorrelationKind, QueryGen, SyntheticConfig};
@@ -74,16 +74,15 @@ pub fn fig27_30_cm_comparison(scale: Scale) {
             let mut gen = QueryGen::new(cfg.target_domain(), 0xF1627);
             let queries = gen.ranges(SELECTIVITY, 256);
 
-            let h_ops = measure_ops(|i| {
-                let (lb, ub) = queries[i % queries.len()];
-                let r = hermit.lookup_range(RangePredicate::range(cols::COL_C, lb, ub), None);
-                std::hint::black_box(r.rows.len());
-            });
-            let b_ops = measure_ops(|i| {
-                let (lb, ub) = queries[i % queries.len()];
-                let r = baseline.lookup_range(RangePredicate::range(cols::COL_C, lb, ub), None);
-                std::hint::black_box(r.rows.len());
-            });
+            let run = |db: &Database, kind: PlanKind| {
+                let plans = harness::range_plans(db, kind, cols::COL_C, &queries);
+                measure_ops(|i| {
+                    let r = db.execute_plan(&plans[i % plans.len()]);
+                    std::hint::black_box(r.rows.len());
+                })
+            };
+            let h_ops = run(&hermit, PlanKind::Hermit);
+            let b_ops = run(&baseline, PlanKind::Baseline);
             harness::row(&[
                 ("correlation", kind.label().into()),
                 ("noise", format!("{:.1}%", noise * 100.0)),

@@ -8,7 +8,7 @@
 //! keep Hermit's TRS-Tree in memory", B+-tree fully cached).
 
 use crate::harness::{self, measure_ops_with, Scale};
-use hermit_core::{Database, LookupBreakdown, RangePredicate};
+use hermit_core::{Database, LookupBreakdown, PlanKind};
 use hermit_storage::paged::{BufferPool, PagedTable, SimulatedPageStore};
 use hermit_storage::{ColumnDef, Schema, Value};
 use hermit_workloads::QueryGen;
@@ -85,20 +85,18 @@ pub fn fig24_disk_rdbms(scale: Scale) {
     for &sel in SELECTIVITIES {
         let mut gen = QueryGen::new(domain, 0xD15C);
         let queries = gen.ranges(sel, 64);
-        let run = |db: &Database, col: usize| -> (f64, LookupBreakdown) {
+        let run = |db: &Database, col: usize, kind: PlanKind| -> (f64, LookupBreakdown) {
+            let plans = harness::range_plans(db, kind, col, &queries);
             let mut acc = LookupBreakdown::default();
-            let mut qi = 0usize;
-            let ops = measure_ops_with(Duration::from_millis(500), 5, 500, |_| {
-                let (lb, ub) = queries[qi % queries.len()];
-                qi += 1;
-                let r = db.lookup_range(RangePredicate::range(col, lb, ub), None);
+            let ops = measure_ops_with(Duration::from_millis(500), 5, 500, |i| {
+                let r = db.execute_plan(&plans[i % plans.len()]);
                 acc.merge(&r.breakdown);
                 std::hint::black_box(r.rows.len());
             });
             (ops, acc)
         };
-        let (h_ops, h_bd) = run(&hermit, target);
-        let (b_ops, _) = run(&baseline, target_b);
+        let (h_ops, h_bd) = run(&hermit, target, PlanKind::Hermit);
+        let (b_ops, _) = run(&baseline, target_b, PlanKind::Baseline);
         let (trs, host, _, base) = h_bd.shares();
         harness::row(&[
             ("selectivity", format!("{:.1}%", sel * 100.0)),

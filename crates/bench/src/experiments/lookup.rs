@@ -3,7 +3,7 @@
 //! breakdowns (Figs. 14–15).
 
 use crate::harness::{self, measure_ops, Scale};
-use hermit_core::{BatchOptions, Database, LookupBreakdown, RangePredicate};
+use hermit_core::{Database, LookupBreakdown, PlanKind, Query};
 use hermit_storage::TidScheme;
 use hermit_workloads::synthetic::cols;
 use hermit_workloads::{build_synthetic, CorrelationKind, QueryGen, SyntheticConfig};
@@ -40,14 +40,14 @@ pub fn fig08_09_synth_range(scale: Scale, sigmoid: bool) {
         for &sel in SELECTIVITIES {
             let mut gen = QueryGen::new(cfg.target_domain(), 0xF1608);
             let queries = gen.ranges(sel, 512);
-            let run = |db: &Database| {
+            let run = |db: &Database, kind: PlanKind| {
+                let plans = harness::range_plans(db, kind, cols::COL_C, &queries);
                 measure_ops(|i| {
-                    let (lb, ub) = queries[i % queries.len()];
-                    let r = db.lookup_range(RangePredicate::range(cols::COL_C, lb, ub), None);
+                    let r = db.execute_plan(&plans[i % plans.len()]);
                     std::hint::black_box(r.rows.len());
                 })
             };
-            let (h, b) = (run(&hermit), run(&baseline));
+            let (h, b) = (run(&hermit, PlanKind::Hermit), run(&baseline, PlanKind::Baseline));
             harness::row(&[
                 ("scheme", scheme.label().into()),
                 ("selectivity", format!("{:.3}%", sel * 100.0)),
@@ -59,43 +59,39 @@ pub fn fig08_09_synth_range(scale: Scale, sigmoid: bool) {
     }
 }
 
-/// `batched`: scalar vs batched vs parallel-batched executor throughput on
-/// the synthetic range workload. The batched path is the tentpole's
-/// vectorized pipeline (`Database::lookup_batch`): reused TRS/candidate
-/// scratch across queries plus page-ordered base-table validation, with the
-/// scalar executor kept as the oracle.
+/// `batched`: Hermit range-lookup throughput on the synthetic workload,
+/// query by query through `Database::execute` (planning included, as a
+/// request pays it) against the same queries as one
+/// `Database::execute_batch`, which reuses the TRS/candidate scratch
+/// across queries.
 pub fn batched_exec(scale: Scale) {
-    harness::section("batched", "Batched vs scalar lookup throughput (Synthetic-Linear)");
+    harness::section("batched", "execute vs execute_batch lookup throughput (Synthetic-Linear)");
     let cfg = synth_cfg(scale, false, 200_000);
     for scheme in [TidScheme::Logical, TidScheme::Physical] {
         let (hermit, _baseline) = build_pair(&cfg, scheme);
         for &sel in &[0.0001, 0.001] {
             let mut gen = QueryGen::new(cfg.target_domain(), 0xF1B47);
-            let preds: Vec<RangePredicate> = gen
-                .ranges(sel, 256)
-                .into_iter()
-                .map(|(lb, ub)| RangePredicate::range(cols::COL_C, lb, ub))
-                .collect();
-            let scalar = measure_ops(|i| {
-                let r = hermit.lookup_range(preds[i % preds.len()], None);
+            let ranges = gen.ranges(sel, 256);
+            // Planned only to assert every query takes the Hermit route;
+            // the timed loops plan again, as a request does.
+            harness::range_plans(&hermit, PlanKind::Hermit, cols::COL_C, &ranges);
+            let queries: Vec<Query> =
+                ranges.iter().map(|&(lb, ub)| Query::new().range(cols::COL_C, lb, ub)).collect();
+            let execute = measure_ops(|i| {
+                let r = hermit.execute(&queries[i % queries.len()]);
                 std::hint::black_box(r.rows.len());
             });
-            // One batched op = the whole 256-query batch; convert back to
+            // One batch op = the whole 256-query batch; convert back to
             // queries/second for an apples-to-apples row.
-            let batched = measure_ops(|_| {
-                std::hint::black_box(hermit.lookup_batch(&preds).len());
-            }) * preds.len() as f64;
-            let opts = BatchOptions::with_threads(4);
-            let batched_mt = measure_ops(|_| {
-                std::hint::black_box(hermit.lookup_batch_with(&preds, None, &opts).len());
-            }) * preds.len() as f64;
+            let batch = measure_ops(|_| {
+                std::hint::black_box(hermit.execute_batch(&queries).len());
+            }) * queries.len() as f64;
             harness::row(&[
                 ("scheme", scheme.label().into()),
                 ("selectivity", format!("{:.3}%", sel * 100.0)),
-                ("scalar", harness::fmt_ops(scalar)),
-                ("batched", harness::fmt_ops(batched)),
-                ("batched_mt4", harness::fmt_ops(batched_mt)),
-                ("batched/scalar", format!("{:.2}", batched / scalar)),
+                ("execute", harness::fmt_ops(execute)),
+                ("execute_batch", harness::fmt_ops(batch)),
+                ("batch/execute", format!("{:.2}", batch / execute)),
             ]);
         }
     }
@@ -122,13 +118,13 @@ pub fn fig10_11_range_breakdown(scale: Scale, hermit_side: bool) {
     let cfg = synth_cfg(scale, true, 200_000);
     for scheme in [TidScheme::Logical, TidScheme::Physical] {
         let (hermit, baseline) = build_pair(&cfg, scheme);
-        let db = if hermit_side { &hermit } else { &baseline };
+        let (db, kind) =
+            if hermit_side { (&hermit, PlanKind::Hermit) } else { (&baseline, PlanKind::Baseline) };
         for &sel in SELECTIVITIES {
             let mut gen = QueryGen::new(cfg.target_domain(), 0xF1610);
             let mut acc = LookupBreakdown::default();
-            for (lb, ub) in gen.ranges(sel, 64) {
-                let r = db.lookup_range(RangePredicate::range(cols::COL_C, lb, ub), None);
-                acc.merge(&r.breakdown);
+            for plan in harness::range_plans(db, kind, cols::COL_C, &gen.ranges(sel, 64)) {
+                acc.merge(&db.execute_plan(&plan).breakdown);
             }
             print_breakdown("selectivity", scheme, format!("{:.3}%", sel * 100.0), &acc);
         }
@@ -154,13 +150,14 @@ pub fn fig12_13_point_lookup(scale: Scale, sigmoid: bool) {
             let (hermit, baseline) = build_pair(&cfg, scheme);
             let mut gen = QueryGen::new(cfg.target_domain(), 0xF1612);
             let points = gen.points(1024);
-            let run = |db: &Database| {
+            let run = |db: &Database, kind: PlanKind| {
+                let plans = harness::point_plans(db, kind, cols::COL_C, &points);
                 measure_ops(|i| {
-                    let r = db.lookup_point(cols::COL_C, points[i % points.len()]);
+                    let r = db.execute_plan(&plans[i % plans.len()]);
                     std::hint::black_box(r.rows.len());
                 })
             };
-            let (h, b) = (run(&hermit), run(&baseline));
+            let (h, b) = (run(&hermit, PlanKind::Hermit), run(&baseline, PlanKind::Baseline));
             harness::row(&[
                 ("scheme", scheme.label().into()),
                 ("tuples", tuples.to_string()),
@@ -185,12 +182,15 @@ pub fn fig14_15_point_breakdown(scale: Scale, hermit_side: bool) {
             SyntheticConfig { tuples, correlation: CorrelationKind::Sigmoid, ..Default::default() };
         for scheme in [TidScheme::Logical, TidScheme::Physical] {
             let (hermit, baseline) = build_pair(&cfg, scheme);
-            let db = if hermit_side { &hermit } else { &baseline };
+            let (db, kind) = if hermit_side {
+                (&hermit, PlanKind::Hermit)
+            } else {
+                (&baseline, PlanKind::Baseline)
+            };
             let mut gen = QueryGen::new(cfg.target_domain(), 0xF1614);
             let mut acc = LookupBreakdown::default();
-            for p in gen.points(512) {
-                let r = db.lookup_point(cols::COL_C, p);
-                acc.merge(&r.breakdown);
+            for plan in harness::point_plans(db, kind, cols::COL_C, &gen.points(512)) {
+                acc.merge(&db.execute_plan(&plan).breakdown);
             }
             print_breakdown("tuples", scheme, tuples.to_string(), &acc);
         }

@@ -14,7 +14,7 @@
 //! | `fig25` | correlation-type taxonomy | [`correlation_types`] |
 //! | `table1` | ML model training times | [`correlation_types`] |
 //! | `fig27_30` | Correlation Maps comparison | [`cm_compare`] |
-//! | `batched` | scalar vs batched executor (this repo's extension) | [`lookup`] |
+//! | `batched` | `execute` vs `execute_batch` throughput (this repo's extension) | [`lookup`] |
 
 pub mod cm_compare;
 pub mod construction;

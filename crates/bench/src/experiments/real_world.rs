@@ -2,7 +2,7 @@
 //! (Figs. 6–7).
 
 use crate::harness::{self, measure_ops, Scale};
-use hermit_core::{Database, RangePredicate};
+use hermit_core::{Database, PlanKind};
 use hermit_storage::TidScheme;
 use hermit_workloads::{build_sensor, build_stock, QueryGen, SensorConfig, StockConfig};
 
@@ -17,15 +17,15 @@ fn stock_cfg(scale: Scale) -> StockConfig {
     }
 }
 
-/// Measure range throughput on one indexed column of `db`.
-fn range_throughput(db: &Database, col: usize, selectivity: f64, seed: u64) -> f64 {
+/// Measure range throughput on one indexed column of `db`, whose index
+/// the planner must choose (`kind`).
+fn range_throughput(db: &Database, kind: PlanKind, col: usize, selectivity: f64, seed: u64) -> f64 {
     let hermit_core::Heap::Mem(table) = db.heap() else { unreachable!() };
     let Some(domain) = table.read().stats(col).unwrap().range() else { return 0.0 };
     let mut gen = QueryGen::new(domain, seed);
-    let queries = gen.ranges(selectivity, 512);
+    let plans = harness::range_plans(db, kind, col, &gen.ranges(selectivity, 512));
     measure_ops(|i| {
-        let (lb, ub) = queries[i % queries.len()];
-        let r = db.lookup_range(RangePredicate::range(col, lb, ub), None);
+        let r = db.execute_plan(&plans[i % plans.len()]);
         std::hint::black_box(r.rows.len());
     })
 }
@@ -49,8 +49,8 @@ pub fn fig04_stock_range(scale: Scale) {
         for &sel in SELECTIVITIES {
             // Query a rotating subset of high columns.
             let col = cfg.high_col(0);
-            let h = range_throughput(&hermit, col, sel, 0xF1604);
-            let b = range_throughput(&baseline, col, sel, 0xF1604);
+            let h = range_throughput(&hermit, PlanKind::Hermit, col, sel, 0xF1604);
+            let b = range_throughput(&baseline, PlanKind::Baseline, col, sel, 0xF1604);
             harness::row(&[
                 ("scheme", scheme.label().into()),
                 ("selectivity", format!("{:.1}%", sel * 100.0)),
@@ -129,8 +129,8 @@ pub fn fig06_sensor_range(scale: Scale) {
         }
         for &sel in SELECTIVITIES {
             let col = cfg.sensor_col(3);
-            let h = range_throughput(&hermit, col, sel, 0xF1606);
-            let b = range_throughput(&baseline, col, sel, 0xF1606);
+            let h = range_throughput(&hermit, PlanKind::Hermit, col, sel, 0xF1606);
+            let b = range_throughput(&baseline, PlanKind::Baseline, col, sel, 0xF1606);
             harness::row(&[
                 ("scheme", scheme.label().into()),
                 ("selectivity", format!("{:.1}%", sel * 100.0)),

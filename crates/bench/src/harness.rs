@@ -1,5 +1,7 @@
 //! Measurement and reporting utilities shared by all experiments.
 
+use hermit_core::{Database, PlanKind, Query, QueryPlan};
+use hermit_storage::ColumnId;
 use std::time::{Duration, Instant};
 
 /// Global scale knob: 1.0 = laptop defaults, larger approaches paper scale
@@ -49,6 +51,32 @@ pub fn measure_ops_with(
 /// [`measure_ops_with`] with the default budget (300 ms, 20–10 000 iters).
 pub fn measure_ops(op: impl FnMut(usize)) -> f64 {
     measure_ops_with(Duration::from_millis(300), 20, 10_000, op)
+}
+
+/// Plan a single-column range query on `col` for every `(lb, ub)` (a point
+/// when `lb == ub`), asserting that the planner routes each through `kind`:
+/// an experiment must measure the index it claims to measure. Timed loops
+/// then run [`Database::execute_plan`] on the returned plans.
+pub fn range_plans(
+    db: &Database,
+    kind: PlanKind,
+    col: ColumnId,
+    ranges: &[(f64, f64)],
+) -> Vec<QueryPlan> {
+    ranges
+        .iter()
+        .map(|&(lb, ub)| {
+            let plan = db.plan(&Query::new().range(col, lb, ub));
+            assert_eq!(plan.kind(), kind, "experiment expected the {} route:\n{plan}", kind.key());
+            plan
+        })
+        .collect()
+}
+
+/// [`range_plans`] for point lookups.
+pub fn point_plans(db: &Database, kind: PlanKind, col: ColumnId, points: &[f64]) -> Vec<QueryPlan> {
+    let ranges: Vec<(f64, f64)> = points.iter().map(|&p| (p, p)).collect();
+    range_plans(db, kind, col, &ranges)
 }
 
 /// Print a section header the way the harness output is organized.

@@ -1,65 +1,34 @@
-//! Batched, page-locality-aware query execution.
-//!
-//! [`Database::lookup_batch`] runs many range/point predicates through the
-//! same four-phase pipeline as [`Database::lookup_range`], but amortizes
-//! everything the scalar path pays per query:
+//! The phase kernels of the query pipeline ([`Database::execute`] and
+//! friends), written to be run back to back over many plans:
 //!
 //! * **TRS traversal scratch** — the BFS queue and the approximate-result
 //!   buffers ([`hermit_trs::LookupScratch`] / [`hermit_trs::TrsLookup`])
-//!   are reused across predicates instead of allocated per lookup.
+//!   are reused across plans instead of allocated per lookup.
 //! * **Candidate buffers** — the tid and row-location vectors grow once and
-//!   are recycled for every subsequent predicate.
+//!   are recycled for every subsequent plan.
 //! * **Base-table locality** — validation fetches candidates *in page
-//!   order* through [`crate::Heap::for_each_row_batch`]: each heap page is pinned
-//!   once per query and every candidate on it is validated under that
-//!   single buffer-pool access, instead of one pool lock + frame lookup per
-//!   value.
+//!   order* through [`crate::Heap::for_each_row_batch`]: each heap page is
+//!   pinned once per query and every candidate on it is validated under
+//!   that single buffer-pool access, instead of one pool lock + frame
+//!   lookup per candidate.
 //! * **Point probes** — exact-match predicates probe the B+-tree with the
 //!   allocation-free [`hermit_btree::BPlusTree::for_each_eq`].
 //!
-//! With [`BatchOptions::threads`] > 1 the predicates are partitioned across
-//! scoped worker threads (`crossbeam::thread::scope`), each with its own
-//! scratch, and the per-thread [`QueryResult`] partials are stitched back
-//! in input order — results are bit-identical to the sequential path.
-//!
-//! The scalar path stays as the oracle: `tests/batch_equivalence.rs` proves
-//! both paths return identical rows, false-positive and unresolved counts
-//! on every substrate and tid scheme.
+//! `tests/batch_equivalence.rs` checks every result against a
+//! generator-formula oracle and checks that a batch returns exactly what
+//! the same queries return one at a time.
 
 use crate::database::Database;
 use crate::executor::{QueryResult, RangePredicate};
 use crate::index::SecondaryIndex;
-use crate::plan::{AccessPath, QueryPlan};
-use crate::query::Query;
+use crate::plan::AccessPath;
 use hermit_storage::{F64Key, RowLoc, Tid, TidScheme};
 use hermit_trs::{LookupScratch, TrsLookup};
 use hermit_txn::ReadView;
 use std::time::Instant;
 
-/// Knobs for a batched lookup.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchOptions {
-    /// Worker threads validating predicates in parallel. `1` (the default)
-    /// runs everything on the calling thread.
-    pub threads: usize,
-}
-
-impl Default for BatchOptions {
-    fn default() -> Self {
-        BatchOptions { threads: 1 }
-    }
-}
-
-impl BatchOptions {
-    /// Options with `threads` parallel workers.
-    pub fn with_threads(threads: usize) -> Self {
-        BatchOptions { threads }
-    }
-}
-
-/// Reusable per-worker buffers for the batched pipeline. One instance
-/// serves any number of sequential [`Database::lookup_batch`] predicates;
-/// parallel workers each own one.
+/// Reusable buffers for the query pipeline. One instance serves any number
+/// of sequential plans.
 #[derive(Debug, Default)]
 pub(crate) struct BatchScratch {
     /// TRS-Tree BFS queue (phase 1).
@@ -70,167 +39,49 @@ pub(crate) struct BatchScratch {
     candidates: Vec<Tid>,
     /// Resolved row locations (phase 3).
     locs: Vec<RowLoc>,
-    /// Page-sort permutation for locality-aware validation (phase 4).
-    order: Vec<u32>,
-    /// Conjuncts re-checked at the base table (phase 4).
-    recheck: Vec<RangePredicate>,
+    /// Page-sort permutation for locality-aware heap visits (phase 4 and
+    /// projection).
+    pub(crate) order: Vec<u32>,
 }
 
 impl Database {
-    /// Execute a batch of range predicates with reused scratch buffers and
-    /// page-ordered base-table validation. Returns one [`QueryResult`] per
-    /// predicate, in input order, with the same row *set* and
-    /// false-positive/unresolved counts as running
-    /// [`lookup_range`](Self::lookup_range) on each. Within one result the
-    /// order of `rows` is unspecified: the paged substrate emits them in
-    /// page order (that is the point), the scalar path in candidate order.
-    pub fn lookup_batch(&self, preds: &[RangePredicate]) -> Vec<QueryResult> {
-        self.lookup_batch_with(preds, None, &BatchOptions::default())
-    }
-
-    /// [`lookup_batch`](Self::lookup_batch) with an optional shared `extra`
-    /// conjunct (validated at the base table, as in the Stock workload's
-    /// `TIME BETWEEN ? AND ?`) and explicit [`BatchOptions`].
-    pub fn lookup_batch_with(
+    /// Phases 1–2 of an index access path into `scratch.candidates`.
+    /// Returns `false` when an index the plan names has been dropped since
+    /// planning (the caller reports no rows).
+    pub(crate) fn gather(
         &self,
-        preds: &[RangePredicate],
-        extra: Option<RangePredicate>,
-        opts: &BatchOptions,
-    ) -> Vec<QueryResult> {
-        self.run_partitioned(preds, opts, |p, scratch| self.lookup_one(*p, extra, scratch))
-    }
-
-    /// Plan every [`Query`] with the cost-based planner and execute the
-    /// batch through the vectorized pipeline: per-worker scratch reuse,
-    /// page-ordered base-table validation, optional thread partitioning —
-    /// the batched counterpart of [`Database::execute`]. Results come back
-    /// in input order with the same row *set* and false-positive/unresolved
-    /// counts as executing each query's plan on the scalar path. The one
-    /// caveat is `limit`: which qualifying rows survive truncation is
-    /// path-dependent (the scalar pipeline validates in candidate order,
-    /// this one in page order), exactly like an unordered SQL `LIMIT`.
-    pub fn execute_batch(&self, queries: &[Query], opts: &BatchOptions) -> Vec<QueryResult> {
-        let plans: Vec<QueryPlan> = queries.iter().map(|q| self.plan(q)).collect();
-        self.execute_plans(&plans, opts)
-    }
-
-    /// Execute pre-built plans through the vectorized pipeline (plan once,
-    /// execute many).
-    pub fn execute_plans(&self, plans: &[QueryPlan], opts: &BatchOptions) -> Vec<QueryResult> {
-        self.run_partitioned(plans, opts, |plan, scratch| self.execute_one_plan(plan, scratch))
-    }
-
-    /// Shared batch driver: run `one` over every item with reused
-    /// per-worker scratch, partitioning contiguous chunks across scoped
-    /// threads when [`BatchOptions::threads`] > 1. Chunk results
-    /// concatenate back into input order.
-    fn run_partitioned<T: Sync>(
-        &self,
-        items: &[T],
-        opts: &BatchOptions,
-        one: impl Fn(&T, &mut BatchScratch) -> QueryResult + Sync,
-    ) -> Vec<QueryResult> {
-        let threads = opts.threads.clamp(1, items.len().max(1));
-        if threads == 1 {
-            let mut scratch = BatchScratch::default();
-            return items.iter().map(|item| one(item, &mut scratch)).collect();
-        }
-        let chunk = items.len().div_ceil(threads);
-        let one = &one;
-        let partials: Vec<Vec<QueryResult>> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = items
-                .chunks(chunk)
-                .map(|chunk_items| {
-                    scope.spawn(move |_| {
-                        let mut scratch = BatchScratch::default();
-                        chunk_items.iter().map(|item| one(item, &mut scratch)).collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("batch worker panicked")).collect()
-        })
-        .expect("scoped batch execution");
-        partials.into_iter().flatten().collect()
-    }
-
-    /// One plan through the batched pipeline, reusing `scratch`. Reads take
-    /// an auto-commit snapshot view, like [`Database::execute_plan`] — with
-    /// no open transactions the view is a lock-free no-op.
-    fn execute_one_plan(&self, plan: &QueryPlan, scratch: &mut BatchScratch) -> QueryResult {
-        // Shared visibility latch per plan, like `Database::execute_plan`.
-        let _vis = self.txns.read_visibility();
-        let view = self.txns.read_view(None);
-        let mut result = QueryResult::default();
+        access: &AccessPath,
+        scratch: &mut BatchScratch,
+        result: &mut QueryResult,
+    ) -> bool {
         scratch.candidates.clear();
-        scratch.recheck.clear();
-        scratch.recheck.extend_from_slice(&plan.recheck);
-        match &plan.access {
-            AccessPath::Hermit { pred, host } => {
-                let Some(SecondaryIndex::Hermit { trs, .. }) = self.index(pred.column) else {
-                    return result; // index dropped since planning
-                };
-                if !self.gather_hermit(trs, *host, *pred, scratch, &mut result) {
-                    return result;
+        match access {
+            AccessPath::Hermit { pred, host } => match self.index(pred.column) {
+                Some(SecondaryIndex::Hermit { trs, .. }) => {
+                    self.gather_hermit(trs, *host, *pred, scratch, result)
                 }
-            }
-            AccessPath::Baseline { pred } => {
-                let Some(SecondaryIndex::Baseline(tree)) = self.index(pred.column) else {
-                    return result;
-                };
-                self.gather_baseline(&tree.read(), *pred, scratch, &mut result);
-            }
+                _ => false,
+            },
+            AccessPath::Baseline { pred } => match self.index(pred.column) {
+                Some(SecondaryIndex::Baseline(tree)) => {
+                    gather_baseline(&tree.read(), *pred, scratch, result);
+                    true
+                }
+                _ => false,
+            },
             AccessPath::CompositeBaseline { index, leading, value }
             | AccessPath::CompositeHermit { index, leading, value, .. } => {
-                if !self.composites().gather_box_candidates(
+                self.composites().gather_box_candidates(
                     *index,
                     *leading,
                     *value,
                     &mut result.breakdown,
                     &mut scratch.candidates,
-                ) {
-                    return result;
-                }
+                )
             }
-            AccessPath::SeqScan => {
-                // The scan is already sequential in page order; the scalar
-                // scan path *is* the batched scan path.
-                self.run_scan_into(&scratch.recheck, plan.limit, &view, &mut result);
-                self.finish_plan(plan, &mut result);
-                return result;
-            }
+            // No index to probe: `Database::run_plan` scans instead.
+            AccessPath::SeqScan => false,
         }
-        self.batched_resolve_validate(scratch, &view, &mut result);
-        self.finish_plan(plan, &mut result);
-        result
-    }
-
-    /// One predicate through the batched pipeline (legacy surface, index
-    /// paths only), reusing `scratch`.
-    fn lookup_one(
-        &self,
-        pred: RangePredicate,
-        extra: Option<RangePredicate>,
-        scratch: &mut BatchScratch,
-    ) -> QueryResult {
-        let mut result = QueryResult::default();
-        scratch.candidates.clear();
-        scratch.recheck.clear();
-        match self.index(pred.column) {
-            Some(SecondaryIndex::Hermit { trs, host }) => {
-                scratch.recheck.push(pred);
-                scratch.recheck.extend(extra);
-                if !self.gather_hermit(trs, *host, pred, scratch, &mut result) {
-                    return result;
-                }
-            }
-            Some(SecondaryIndex::Baseline(tree)) => {
-                scratch.recheck.extend(extra);
-                self.gather_baseline(&tree.read(), pred, scratch, &mut result);
-            }
-            None => return result,
-        }
-        self.batched_resolve_validate(scratch, &ReadView::unfiltered(), &mut result);
-        result
     }
 
     /// Phases 1–2 of the Hermit route into `scratch.candidates`. Returns
@@ -268,9 +119,10 @@ impl Database {
                     .for_each_in_range(&F64Key(lo), &F64Key(hi), |_, tid| candidates.push(*tid));
             }
         }
-        drop(host_tree); // release before resolution/validation, like the scalar path
-                         // The unioned ranges are disjoint, so duplicates only arise between
-                         // outlier tids and range results.
+        // Release before resolution/validation.
+        drop(host_tree);
+        // The unioned ranges are disjoint, so duplicates only arise between
+        // outlier tids and range results.
         if had_outliers {
             candidates.sort_unstable();
             candidates.dedup();
@@ -279,36 +131,15 @@ impl Database {
         true
     }
 
-    /// Phase 2 of the baseline path into `scratch.candidates`; point
-    /// predicates take the allocation-free equality probe.
-    // hermit-lint: hot-path
-    fn gather_baseline(
-        &self,
-        tree: &hermit_btree::BPlusTree<F64Key, Tid>,
-        pred: RangePredicate,
-        scratch: &mut BatchScratch,
-        result: &mut QueryResult,
-    ) {
-        let t0 = Instant::now();
-        let candidates = &mut scratch.candidates;
-        if pred.lb == pred.ub {
-            tree.for_each_eq(&F64Key(pred.lb), |tid| candidates.push(*tid));
-        } else {
-            tree.for_each_in_range(&F64Key(pred.lb), &F64Key(pred.ub), |_, tid| {
-                candidates.push(*tid)
-            });
-        }
-        result.breakdown.host_index += t0.elapsed();
-    }
-
-    /// Phases 3–4 of the batched pipeline: primary-index resolution into
+    /// Phases 3–4 of every index plan: primary-index resolution into
     /// `scratch.locs`, then page-ordered base-table validation of every
-    /// `scratch.recheck` conjunct. Rows invisible to the snapshot `view`
-    /// are skipped silently — neither matches nor false positives — same
-    /// as the scalar snapshot tail.
+    /// `recheck` conjunct. Rows invisible to the snapshot `view` are
+    /// skipped silently — neither matches nor false positives, exactly as
+    /// if the write had never happened.
     // hermit-lint: hot-path
-    fn batched_resolve_validate(
+    pub(crate) fn batched_resolve_validate(
         &self,
+        recheck: &[RangePredicate],
         scratch: &mut BatchScratch,
         view: &ReadView,
         result: &mut QueryResult,
@@ -337,7 +168,6 @@ impl Database {
         // access, with every recheck column read from the same row view.
         let t3 = Instant::now();
         let locs = &scratch.locs;
-        let recheck = &scratch.recheck;
         let filtering = view.is_filtering();
         let pk_col = self.pk_col();
         result.rows.reserve(locs.len());
@@ -357,9 +187,30 @@ impl Database {
     }
 }
 
+/// Phase 2 of the baseline path into `scratch.candidates`; point
+/// predicates take the allocation-free equality probe.
+// hermit-lint: hot-path
+fn gather_baseline(
+    tree: &hermit_btree::BPlusTree<F64Key, Tid>,
+    pred: RangePredicate,
+    scratch: &mut BatchScratch,
+    result: &mut QueryResult,
+) {
+    let t0 = Instant::now();
+    let candidates = &mut scratch.candidates;
+    if pred.lb == pred.ub {
+        tree.for_each_eq(&F64Key(pred.lb), |tid| candidates.push(*tid));
+    } else {
+        tree.for_each_in_range(&F64Key(pred.lb), &F64Key(pred.ub), |_, tid| candidates.push(*tid));
+    }
+    result.breakdown.host_index += t0.elapsed();
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::PlanKind;
+    use crate::query::Query;
     use hermit_storage::{ColumnDef, Schema, Value};
 
     fn schema() -> Schema {
@@ -389,66 +240,87 @@ mod tests {
         db
     }
 
-    fn sorted_rows(r: &QueryResult) -> Vec<RowLoc> {
-        let mut rows = r.rows.clone();
-        rows.sort_unstable();
-        rows
+    /// Bit-for-bit agreement: rows in order, false positives, unresolved.
+    fn assert_identical(single: &QueryResult, batched: &QueryResult, ctx: &str) {
+        assert_eq!(single.rows, batched.rows, "{ctx}: rows");
+        assert_eq!(single.false_positives, batched.false_positives, "{ctx}: false positives");
+        assert_eq!(single.unresolved, batched.unresolved, "{ctx}: unresolved");
     }
 
-    fn assert_equivalent(scalar: &QueryResult, batched: &QueryResult, ctx: &str) {
-        assert_eq!(sorted_rows(scalar), sorted_rows(batched), "{ctx}: rows");
-        assert_eq!(scalar.false_positives, batched.false_positives, "{ctx}: false positives");
-        assert_eq!(scalar.unresolved, batched.unresolved, "{ctx}: unresolved");
+    /// Run `queries` as one batch and one at a time; both must agree and
+    /// every query must take the `kind` route.
+    fn batch_vs_single(db: &Database, queries: &[Query], kind: PlanKind) -> Vec<QueryResult> {
+        let batched = db.execute_batch(queries);
+        assert_eq!(batched.len(), queries.len());
+        for (q, b) in queries.iter().zip(&batched) {
+            assert_eq!(db.plan(q).kind(), kind, "{q:?}");
+            assert_identical(&db.execute(q), b, &format!("{q:?}"));
+        }
+        batched
+    }
+
+    fn targets(db: &Database, r: &QueryResult) -> Vec<f64> {
+        let mut v: Vec<f64> =
+            r.rows.iter().map(|&loc| db.heap().value_f64(loc, 2).unwrap().unwrap()).collect();
+        v.sort_by(|a, b| a.total_cmp(b));
+        v
     }
 
     #[test]
     fn batch_matches_scalar_on_hermit_ranges() {
         for scheme in [TidScheme::Logical, TidScheme::Physical] {
             let db = hermit_db(scheme, 10_000, 97);
-            let preds: Vec<RangePredicate> = [(0.0, 50.0), (500.5, 700.25), (9_990.0, 20_000.0)]
+            let queries: Vec<Query> = [(0.0, 50.0), (500.5, 700.25), (9_990.0, 20_000.0)]
                 .iter()
-                .map(|&(lb, ub)| RangePredicate::range(2, lb, ub))
+                .map(|&(lb, ub)| Query::new().range(2, lb, ub))
                 .collect();
-            let batched = db.lookup_batch(&preds);
-            assert_eq!(batched.len(), preds.len());
-            for (pred, b) in preds.iter().zip(&batched) {
-                let s = db.lookup_range(*pred, None);
-                assert_equivalent(&s, b, &format!("{scheme:?} [{}, {}]", pred.lb, pred.ub));
-            }
+            let batched = batch_vs_single(&db, &queries, PlanKind::Hermit);
+            assert_eq!(targets(&db, &batched[0]).len(), 51, "{scheme:?}");
+            assert_eq!(targets(&db, &batched[1]), (501..=700).map(f64::from).collect::<Vec<_>>());
+            assert_eq!(targets(&db, &batched[2]).len(), 10, "{scheme:?}");
         }
     }
 
     #[test]
     fn batch_point_probes_use_equality_path() {
         let db = hermit_db(TidScheme::Physical, 5_000, 50);
-        let preds: Vec<RangePredicate> = [0.0, 50.0, 123.0, 4_950.0, 9_999.0]
+        let queries: Vec<Query> = [0.0, 50.0, 123.0, 4_950.0, 9_999.0]
             .iter()
-            .map(|&v| RangePredicate::point(2, v))
+            .map(|&v| Query::new().point(2, v))
             .collect();
-        for (pred, b) in preds.iter().zip(db.lookup_batch(&preds)) {
-            let s = db.lookup_range(*pred, None);
-            assert_equivalent(&s, &b, &format!("point {}", pred.lb));
-        }
+        let batched = batch_vs_single(&db, &queries, PlanKind::Hermit);
+        let counts: Vec<usize> = batched.iter().map(|r| r.rows.len()).collect();
+        assert_eq!(counts, [1, 1, 1, 1, 0]);
     }
 
     #[test]
     fn parallel_batch_preserves_input_order() {
         let db = hermit_db(TidScheme::Logical, 8_000, 0);
-        let preds: Vec<RangePredicate> = (0..64)
-            .map(|i| RangePredicate::range(2, i as f64 * 100.0, i as f64 * 100.0 + 49.0))
+        let queries: Vec<Query> = (0..64)
+            .map(|i| Query::new().range(2, i as f64 * 100.0, i as f64 * 100.0 + 49.0))
             .collect();
-        let sequential = db.lookup_batch(&preds);
-        let parallel = db.lookup_batch_with(&preds, None, &BatchOptions::with_threads(4));
-        assert_eq!(sequential.len(), parallel.len());
-        for (i, (s, p)) in sequential.iter().zip(&parallel).enumerate() {
-            assert_equivalent(s, p, &format!("pred {i}"));
+        let batched = batch_vs_single(&db, &queries, PlanKind::Hermit);
+        for (i, r) in batched.iter().enumerate() {
+            let lo = i as f64 * 100.0;
+            assert_eq!(targets(&db, r), (0..50).map(|k| lo + k as f64).collect::<Vec<_>>());
         }
+        // Batches running on several threads at once, each with its own
+        // scratch, return the sequential answer in input order.
+        std::thread::scope(|s| {
+            let workers: Vec<_> = (0..3).map(|_| s.spawn(|| db.execute_batch(&queries))).collect();
+            for w in workers {
+                let parallel = w.join().expect("batch thread panicked");
+                for (i, (p, b)) in parallel.iter().zip(&batched).enumerate() {
+                    assert_identical(b, p, &format!("query {i}"));
+                }
+            }
+        });
     }
 
     #[test]
     fn batch_on_unindexed_column_is_empty() {
         let db = Database::new(schema(), 0, TidScheme::Physical);
-        let results = db.lookup_batch(&[RangePredicate::range(3, 0.0, 10.0)]);
+        let results = batch_vs_single(&db, &[Query::new().range(3, 0.0, 10.0)], PlanKind::Scan);
         assert_eq!(results.len(), 1);
         assert!(results[0].rows.is_empty());
     }
@@ -456,19 +328,16 @@ mod tests {
     #[test]
     fn empty_batch_is_empty() {
         let db = hermit_db(TidScheme::Physical, 100, 0);
-        assert!(db.lookup_batch(&[]).is_empty());
-        assert!(db.lookup_batch_with(&[], None, &BatchOptions::with_threads(8)).is_empty());
+        assert!(db.execute_batch(&[]).is_empty());
     }
 
     #[test]
     fn batch_with_extra_conjunct() {
         let db = hermit_db(TidScheme::Physical, 10_000, 0);
         // other = 10 * target; constrain other ∈ [1500, 1590] → target ∈ [150, 159].
-        let preds = [RangePredicate::range(2, 100.0, 199.0)];
-        let extra = Some(RangePredicate::range(3, 1_500.0, 1_590.0));
-        let b = &db.lookup_batch_with(&preds, extra, &BatchOptions::default())[0];
-        let s = db.lookup_range(preds[0], extra);
-        assert_equivalent(&s, b, "extra conjunct");
+        let q = Query::new().range(2, 100.0, 199.0).range(3, 1_500.0, 1_590.0);
+        let b = &batch_vs_single(&db, std::slice::from_ref(&q), PlanKind::Hermit)[0];
+        assert_eq!(targets(&db, b), (150..=159).map(f64::from).collect::<Vec<_>>());
         assert!(b.false_positives >= 90);
     }
 }

@@ -235,9 +235,8 @@ impl CompositeIndexes {
     ///
     /// Returns `false` when `idx` does not exist or a Hermit index's
     /// companion baseline is missing — the caller treats that as an empty
-    /// candidate set. The planner and both executors (scalar
-    /// [`Database::execute_plan`], batched [`Database::execute_plans`])
-    /// share this path.
+    /// candidate set. The query pipeline ([`Database::execute_plan`])
+    /// takes this path for both composite plan kinds.
     pub(crate) fn gather_box_candidates(
         &self,
         idx: usize,

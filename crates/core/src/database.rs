@@ -107,16 +107,6 @@ impl Heap {
         }
     }
 
-    /// Visit one row under a single heap access; every predicate column is
-    /// read from the same visit (one page pin on the paged substrate).
-    /// `None` for deleted/unresolvable rows.
-    pub fn with_row<T>(&self, loc: RowLoc, f: impl FnOnce(Option<RowRef<'_>>) -> T) -> T {
-        match self {
-            Heap::Mem(t) => t.read().with_row(loc, f),
-            Heap::Paged(t) => t.with_row(loc, f),
-        }
-    }
-
     /// Batched row visitation for validation: on the paged substrate the
     /// candidates are visited grouped by page (each page pinned once, sorted
     /// through the reusable `order` buffer); the in-memory substrate visits

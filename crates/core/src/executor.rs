@@ -1,28 +1,33 @@
-//! Query execution: the three-phase Hermit lookup and the baseline lookup,
-//! both with per-phase timing (§5.2, Fig. 3).
+//! Query execution: one pipeline for every plan, with per-phase timing
+//! (§5.2, Fig. 3).
 //!
-//! **Hermit path** (target column carries a TRS-Tree):
+//! [`Database::execute`], [`Database::execute_plan`],
+//! [`Database::execute_batch`] and [`Database::execute_for_txn`] all run a
+//! [`QueryPlan`] through the same function, under one snapshot view and
+//! with one set of reusable scratch buffers (see [`crate::batch`]):
 //!
-//! 1. *TRS-Tree lookup* — translate the target predicate into host-column
-//!    ranges plus outlier tids.
-//! 2. *Host-index lookup* — probe the host column's baseline B+-tree with
-//!    each range; union with the outlier tids.
+//! 1. *TRS-Tree lookup* (Hermit route only) — translate the target
+//!    predicate into host-column ranges plus outlier tids.
+//! 2. *Index lookup* — probe the host column's B+-tree with each range and
+//!    union the outlier tids (Hermit), range-scan the target column's own
+//!    B+-tree (baseline), or box-scan a composite index.
 //! 3. *Primary-index lookup* (logical pointers only) — resolve candidate
 //!    tids to row locations.
-//! 4. *Base-table validation* — fetch each candidate and re-check the
-//!    original predicate, discarding false positives.
+//! 4. *Base-table validation* — visit the candidates page by page and
+//!    re-check every conjunct, discarding false positives and rows the
+//!    snapshot cannot see.
 //!
-//! **Baseline path** (target column carries a complete B+-tree): secondary
-//! index → (primary index) → base table; the results are exact, but the
-//! paper's harness still fetches the tuples, because that is what a real
-//! query does and it is where the time goes at high selectivity.
+//! The baseline's index hits are exact on the driving predicate, but the
+//! tuples are still fetched: a real query returns rows, not tids, and that
+//! fetch is where the time goes at high selectivity. The seq-scan plan
+//! skips phases 1–3 and validates every conjunct in-scan.
 
+use crate::batch::BatchScratch;
 use crate::breakdown::LookupBreakdown;
 use crate::database::Database;
-use crate::index::SecondaryIndex;
 use crate::plan::{AccessPath, QueryPlan};
 use crate::query::Query;
-use hermit_storage::{ColumnId, F64Key, RowLoc, Tid, TidScheme, Value};
+use hermit_storage::{ColumnId, RowLoc, Value};
 use hermit_txn::ReadView;
 use std::time::Instant;
 
@@ -55,10 +60,12 @@ impl RangePredicate {
     }
 }
 
-/// Result of a range/point lookup.
+/// Result of executing one query.
 #[derive(Debug, Clone, Default)]
 pub struct QueryResult {
-    /// Row locations of qualifying tuples.
+    /// Row locations of qualifying tuples. Index plans emit them in
+    /// validation order, which on the paged substrate is heap-page order;
+    /// there is no ORDER BY.
     pub rows: Vec<RowLoc>,
     /// Candidates fetched that failed validation (Hermit's approximation
     /// cost; always 0 for the baseline and the seq scan). Feeds Fig. 17.
@@ -85,20 +92,18 @@ impl QueryResult {
 }
 
 impl Database {
-    /// Plan and execute a [`Query`] through the scalar pipeline.
+    /// Plan and execute a [`Query`].
     ///
     /// The planner picks the driving access path (Hermit route, baseline
     /// B+-tree, composite box, or seq scan); every other conjunct is
-    /// validated at the base table. Unlike the legacy
-    /// [`lookup_range`](Self::lookup_range), a query over an unindexed
-    /// column returns its rows via the scan plan instead of nothing.
+    /// validated at the base table. A query over an unindexed column
+    /// returns its rows via the scan plan.
     pub fn execute(&self, query: &Query) -> QueryResult {
-        let plan = self.plan(query);
-        self.execute_plan(&plan)
+        self.execute_plan(&self.plan(query))
     }
 
-    /// Execute an already-built [`QueryPlan`] through the scalar pipeline
-    /// (plan once with [`plan`](Self::plan), execute many times).
+    /// Execute an already-built [`QueryPlan`] (plan once with
+    /// [`plan`](Self::plan), execute many times).
     ///
     /// Reads are snapshot-filtered as an auto-commit reader: another
     /// transaction's uncommitted inserts are invisible and its pending
@@ -107,66 +112,58 @@ impl Database {
     /// [`execute_for_txn`](Self::execute_for_txn) reads *as* a transaction
     /// instead.
     pub fn execute_plan(&self, plan: &QueryPlan) -> QueryResult {
-        // Shared visibility latch for the whole execution (see
-        // `crate::txn`): the frozen view stays in lockstep with the heap
-        // until the last row is validated.
-        let _vis = self.txns.read_visibility();
-        self.execute_plan_view(plan, &self.txns.read_view(None))
+        self.run_plan(plan, None, &mut BatchScratch::default())
     }
 
-    /// [`execute_plan`](Self::execute_plan) with an explicit visibility
-    /// view (the shared body of auto-commit and transactional reads).
-    pub(crate) fn execute_plan_view(&self, plan: &QueryPlan, view: &ReadView) -> QueryResult {
+    /// Plan and execute every [`Query`], reusing one set of scratch
+    /// buffers across the batch. `execute_batch(qs)[i]` is exactly
+    /// `execute(&qs[i])`: same rows in the same order, same
+    /// false-positive and unresolved counts.
+    pub fn execute_batch(&self, queries: &[Query]) -> Vec<QueryResult> {
+        let mut scratch = BatchScratch::default();
+        queries.iter().map(|q| self.run_plan(&self.plan(q), None, &mut scratch)).collect()
+    }
+
+    /// The one query pipeline: run `plan` under the shared visibility
+    /// latch, reading as transaction `owner` (`None` = auto-commit), with
+    /// `scratch` reused for phases 1–4.
+    pub(crate) fn run_plan(
+        &self,
+        plan: &QueryPlan,
+        owner: Option<u64>,
+        scratch: &mut BatchScratch,
+    ) -> QueryResult {
+        // The frozen view stays in lockstep with the heap until the last
+        // row is validated (see `crate::txn`).
+        let _vis = self.txns.read_visibility();
+        let view = self.txns.read_view(owner);
         let mut result = QueryResult::default();
         match &plan.access {
-            AccessPath::Hermit { pred, host } => {
-                let Some(SecondaryIndex::Hermit { trs, .. }) = self.index(pred.column) else {
-                    return result; // index dropped since planning
-                };
-                self.run_hermit(trs, *host, *pred, &plan.recheck, Some(view), &mut result);
-            }
-            AccessPath::Baseline { pred } => {
-                let Some(SecondaryIndex::Baseline(tree)) = self.index(pred.column) else {
-                    return result;
-                };
-                self.run_baseline(&tree.read(), *pred, &plan.recheck, Some(view), &mut result);
-            }
-            AccessPath::CompositeBaseline { index, leading, value }
-            | AccessPath::CompositeHermit { index, leading, value, .. } => {
-                let mut candidates = Vec::new();
-                if !self.composites().gather_box_candidates(
-                    *index,
-                    *leading,
-                    *value,
-                    &mut result.breakdown,
-                    &mut candidates,
-                ) {
-                    return result;
-                }
-                self.resolve_and_validate_view(candidates, &plan.recheck, view, &mut result);
-            }
             AccessPath::SeqScan => {
-                self.run_scan_into(&plan.recheck, plan.limit, view, &mut result);
+                self.run_scan_into(&plan.recheck, plan.limit, &view, &mut result)
+            }
+            access => {
+                if !self.gather(access, scratch, &mut result) {
+                    return result; // an index the plan names was dropped
+                }
+                self.batched_resolve_validate(&plan.recheck, scratch, &view, &mut result);
             }
         }
-        self.finish_plan(plan, &mut result);
+        self.finish_plan(plan, scratch, &mut result);
         result
     }
 
     /// Apply a plan's limit and projection to a validated result.
-    ///
-    /// Projection rows are fetched page-grouped through
-    /// [`crate::Heap::for_each_row_batch`] — each heap page pinned once —
-    /// but `projected` stays aligned with `rows` order.
-    pub(crate) fn finish_plan(&self, plan: &QueryPlan, result: &mut QueryResult) {
+    /// Projection rows are fetched page-grouped (each heap page pinned
+    /// once), but `projected` stays aligned with `rows`.
+    fn finish_plan(&self, plan: &QueryPlan, scratch: &mut BatchScratch, result: &mut QueryResult) {
         if let Some(n) = plan.limit {
             result.rows.truncate(n);
         }
         if let Some(cols) = &plan.projection {
             let t = Instant::now();
             let mut projected = vec![Vec::new(); result.rows.len()];
-            let mut order = Vec::new();
-            self.heap().for_each_row_batch(&result.rows, &mut order, |i, row| {
+            self.heap().for_each_row_batch(&result.rows, &mut scratch.order, |i, row| {
                 projected[i] = match row {
                     Some(row) => cols.iter().map(|&c| row.value(c)).collect(),
                     None => vec![Value::Null; cols.len()],
@@ -177,122 +174,12 @@ impl Database {
         }
     }
 
-    /// Execute a range lookup on an indexed column, dispatching to the
-    /// Hermit or baseline pipeline based on the index kind.
-    ///
-    /// This is the legacy single-predicate surface, kept as the scalar
-    /// oracle for the equivalence suites: it *forces* the index access path
-    /// (no planner, no scan fallback — an unindexed column still returns an
-    /// empty result). `extra` is an optional second predicate validated at
-    /// the base table (the Stock workload's `TIME BETWEEN ? AND ?`
-    /// conjunct); [`Query`] generalizes it to arbitrary conjunctions.
-    pub fn lookup_range(&self, pred: RangePredicate, extra: Option<RangePredicate>) -> QueryResult {
-        let mut result = QueryResult::default();
-        match self.index(pred.column) {
-            Some(SecondaryIndex::Hermit { trs, host }) => {
-                let recheck: Vec<RangePredicate> = std::iter::once(pred).chain(extra).collect();
-                self.run_hermit(trs, *host, pred, &recheck, None, &mut result);
-            }
-            Some(SecondaryIndex::Baseline(tree)) => {
-                let recheck: Vec<RangePredicate> = extra.into_iter().collect();
-                self.run_baseline(&tree.read(), pred, &recheck, None, &mut result);
-            }
-            None => {}
-        }
-        result
-    }
-
-    /// Point-lookup convenience wrapper.
-    pub fn lookup_point(&self, column: ColumnId, v: f64) -> QueryResult {
-        self.lookup_range(RangePredicate::point(column, v), None)
-    }
-
-    /// Phases 1–4 of the Hermit route: TRS-Tree translation, host-index
-    /// probes, then the resolve+validate tail with `recheck` (which must
-    /// include `pred` itself — Hermit candidates are approximate).
-    /// `Some(view)` takes the snapshot tail (single heap read-session,
-    /// visibility-filtered); `None` is the legacy per-candidate tail kept
-    /// for [`lookup_range`](Self::lookup_range).
-    fn run_hermit(
-        &self,
-        trs: &hermit_trs::ConcurrentTrsTree,
-        host: ColumnId,
-        pred: RangePredicate,
-        recheck: &[RangePredicate],
-        view: Option<&ReadView>,
-        result: &mut QueryResult,
-    ) {
-        // Phase 1: TRS-Tree search (under the tree's read latch).
-        let t0 = Instant::now();
-        let approx = trs.lookup(pred.lb, pred.ub);
-        result.breakdown.trs_tree += t0.elapsed();
-
-        // Phase 2: host-index search over the translated ranges, unioned
-        // with the outlier tids (which skip the host index entirely, §4.3).
-        let t1 = Instant::now();
-        let Some(SecondaryIndex::Baseline(host_tree)) = self.index(host) else {
-            // Host index dropped out from under us — treat as no results.
-            return;
-        };
-        let host_tree = host_tree.read();
-        let had_outliers = !approx.tids.is_empty();
-        let mut candidates: Vec<Tid> = approx.tids;
-        for (lo, hi) in &approx.ranges {
-            host_tree.for_each_in_range(&F64Key(*lo), &F64Key(*hi), |_, tid| {
-                candidates.push(*tid);
-            });
-        }
-        drop(host_tree);
-        // The unioned ranges are disjoint, so host probes cannot repeat a
-        // tuple among themselves — duplicates only arise between outlier
-        // tids and range results. Dedupe only when outliers were returned.
-        if had_outliers {
-            candidates.sort_unstable();
-            candidates.dedup();
-        }
-        result.breakdown.host_index += t1.elapsed();
-
-        // Phase 3 + 4: resolve and validate.
-        match view {
-            Some(view) => self.resolve_and_validate_view(candidates, recheck, view, result),
-            None => self.resolve_and_validate(candidates, recheck, result),
-        }
-    }
-
-    /// Baseline pipeline: exact index range scan, then the resolve+validate
-    /// tail with the residual conjuncts only (`view` as in `run_hermit`).
-    fn run_baseline(
-        &self,
-        tree: &hermit_btree::BPlusTree<F64Key, Tid>,
-        pred: RangePredicate,
-        recheck: &[RangePredicate],
-        view: Option<&ReadView>,
-        result: &mut QueryResult,
-    ) {
-        // Secondary-index search (charged to the host-index phase so the
-        // breakdown figures line up across methods).
-        let t0 = Instant::now();
-        let mut candidates: Vec<Tid> = Vec::new();
-        tree.for_each_in_range(&F64Key(pred.lb), &F64Key(pred.ub), |_, tid| {
-            candidates.push(*tid);
-        });
-        result.breakdown.host_index += t0.elapsed();
-
-        // The baseline's index hits are exact on `pred`; validation is only
-        // needed for the residual conjuncts, but the tuples are fetched
-        // either way (a real query returns rows, not tids).
-        match view {
-            Some(view) => self.resolve_and_validate_view(candidates, recheck, view, result),
-            None => self.resolve_and_validate(candidates, recheck, result),
-        }
-    }
-
-    /// The scan fallback: stream every live heap row, validating all
-    /// conjuncts in-scan. Exact (no false positives, nothing unresolved),
-    /// and the only path that honors `limit` by stopping early. Rows the
-    /// snapshot `view` cannot see are skipped before predicate evaluation
-    /// and do not count toward the limit.
-    pub(crate) fn run_scan_into(
+    /// The scan plan: stream every live heap row, validating all conjuncts
+    /// in-scan. Exact (no false positives, nothing unresolved), and the
+    /// only path that honors `limit` by stopping early. Rows the snapshot
+    /// `view` cannot see are skipped before predicate evaluation and do
+    /// not count toward the limit.
+    fn run_scan_into(
         &self,
         checks: &[RangePredicate],
         limit: Option<usize>,
@@ -317,123 +204,13 @@ impl Database {
         }
         result.breakdown.base_table += t.elapsed();
     }
-
-    /// Phase 3 alone: resolve candidate tids to row locations. The logical
-    /// scheme pays the primary-index hop (one read-latch acquisition for
-    /// the whole candidate set); the physical scheme is a reinterpret.
-    fn resolve_candidates(&self, candidates: Vec<Tid>, result: &mut QueryResult) -> Vec<RowLoc> {
-        match self.scheme() {
-            TidScheme::Physical => candidates.into_iter().map(|t| t.as_loc()).collect(),
-            TidScheme::Logical => {
-                let t2 = Instant::now();
-                let primary = self.primary();
-                let resolved: Vec<RowLoc> = candidates
-                    .into_iter()
-                    .filter_map(|t| {
-                        let loc = primary.get(t.as_pk());
-                        if loc.is_none() {
-                            result.unresolved += 1;
-                        }
-                        loc
-                    })
-                    .collect();
-                result.breakdown.primary_index += t2.elapsed();
-                resolved
-            }
-        }
-    }
-
-    /// Legacy tail of the index pipelines: primary-index resolution
-    /// (logical pointers) and one base-table fetch per candidate,
-    /// validating every `recheck` conjunct. Kept unfiltered as the scalar
-    /// oracle behind [`lookup_range`](Self::lookup_range).
-    fn resolve_and_validate(
-        &self,
-        candidates: Vec<Tid>,
-        recheck: &[RangePredicate],
-        result: &mut QueryResult,
-    ) {
-        let locs = self.resolve_candidates(candidates, result);
-
-        // Phase 4: base-table fetch + validation. One heap visit per
-        // candidate: every recheck column is read from the same row view,
-        // so extra conjuncts never resolve the page twice.
-        let t3 = Instant::now();
-        for loc in locs {
-            self.heap().with_row(loc, |row| match row {
-                None => result.unresolved += 1,
-                Some(row) => {
-                    if recheck.iter().all(|p| p.matches(row.f64(p.column))) {
-                        result.rows.push(loc);
-                    } else {
-                        result.false_positives += 1;
-                    }
-                }
-            });
-        }
-        result.breakdown.base_table += t3.elapsed();
-    }
-
-    /// Snapshot tail of the index pipelines: phase 3 via
-    /// [`resolve_candidates`](Self::resolve_candidates), then one batched
-    /// heap read-session for phase 4 — each heap page is pinned once
-    /// ([`crate::Heap::for_each_row_batch`]) instead of one latch
-    /// round-trip per candidate, which is what lets concurrent snapshot
-    /// readers scale past the per-row latch churn of the legacy tail.
-    ///
-    /// Rows invisible to `view` (another transaction's uncommitted insert,
-    /// or a row the owner has pending-deleted) are skipped silently: they
-    /// count as neither matches nor false positives, exactly as if the
-    /// write had never happened. Verdicts are buffered per candidate index
-    /// so `rows` keeps candidate order — bit-identical to the legacy tail
-    /// when nothing is filtered.
-    fn resolve_and_validate_view(
-        &self,
-        candidates: Vec<Tid>,
-        recheck: &[RangePredicate],
-        view: &ReadView,
-        result: &mut QueryResult,
-    ) {
-        let locs = self.resolve_candidates(candidates, result);
-
-        let t3 = Instant::now();
-        let filtering = view.is_filtering();
-        let pk_col = self.pk_col();
-        // 0 = unresolved, 1 = match, 2 = false positive, 3 = invisible.
-        let mut verdicts = vec![0u8; locs.len()];
-        let mut order = Vec::new();
-        self.heap().for_each_row_batch(&locs, &mut order, |i, row| {
-            verdicts[i] = match row {
-                None => 0,
-                Some(row) => {
-                    if filtering
-                        && row.value(pk_col).as_i64().is_some_and(|pk| !view.visible_pk(pk))
-                    {
-                        3
-                    } else if recheck.iter().all(|p| p.matches(row.f64(p.column))) {
-                        1
-                    } else {
-                        2
-                    }
-                }
-            };
-        });
-        for (i, &loc) in locs.iter().enumerate() {
-            match verdicts[i] {
-                1 => result.rows.push(loc),
-                2 => result.false_positives += 1,
-                3 => {}
-                _ => result.unresolved += 1,
-            }
-        }
-        result.breakdown.base_table += t3.elapsed();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hermit_storage::{ColumnDef, Schema, Value};
+    use crate::plan::PlanKind;
+    use hermit_storage::{ColumnDef, Schema, TidScheme, Value};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -479,6 +256,13 @@ mod tests {
         db
     }
 
+    /// Plan `q`, assert the planner chose `kind`, and execute the plan.
+    fn run(db: &Database, q: &Query, kind: PlanKind) -> QueryResult {
+        let plan = db.plan(q);
+        assert_eq!(plan.kind(), kind, "unexpected plan:\n{plan}");
+        db.execute_plan(&plan)
+    }
+
     fn row_targets(db: &Database, result: &QueryResult) -> Vec<f64> {
         let mut v: Vec<f64> =
             result.rows.iter().map(|&loc| db.heap().value_f64(loc, 2).unwrap().unwrap()).collect();
@@ -490,7 +274,7 @@ mod tests {
     fn hermit_range_lookup_exact_results() {
         for scheme in [TidScheme::Logical, TidScheme::Physical] {
             let db = hermit_db(scheme, 10_000, 0);
-            let result = db.lookup_range(RangePredicate::range(2, 100.0, 199.0), None);
+            let result = run(&db, &Query::new().range(2, 100.0, 199.0), PlanKind::Hermit);
             let targets = row_targets(&db, &result);
             assert_eq!(targets.len(), 100, "{scheme:?}");
             assert_eq!(targets[0], 100.0);
@@ -502,7 +286,7 @@ mod tests {
     fn baseline_range_lookup_exact_results() {
         for scheme in [TidScheme::Logical, TidScheme::Physical] {
             let db = baseline_db(scheme, 10_000);
-            let result = db.lookup_range(RangePredicate::range(2, 100.0, 199.0), None);
+            let result = run(&db, &Query::new().range(2, 100.0, 199.0), PlanKind::Baseline);
             assert_eq!(result.rows.len(), 100, "{scheme:?}");
             assert_eq!(result.false_positives, 0);
         }
@@ -517,8 +301,9 @@ mod tests {
             db
         };
         for (lb, ub) in [(0.0, 50.0), (500.5, 700.25), (19_990.0, 30_000.0), (7.0, 7.0)] {
-            let h = hermit.lookup_range(RangePredicate::range(2, lb, ub), None);
-            let b = baseline.lookup_range(RangePredicate::range(2, lb, ub), None);
+            let q = Query::new().range(2, lb, ub);
+            let h = run(&hermit, &q, PlanKind::Hermit);
+            let b = run(&baseline, &q, PlanKind::Baseline);
             assert_eq!(
                 row_targets(&hermit, &h),
                 row_targets(&baseline, &b),
@@ -533,27 +318,29 @@ mod tests {
         // find them via its outlier buffers.
         let db = hermit_db(TidScheme::Physical, 10_000, 50);
         for probe in [0.0, 50.0, 4_950.0] {
-            let r = db.lookup_point(2, probe);
+            let r = run(&db, &Query::new().point(2, probe), PlanKind::Hermit);
             assert_eq!(r.rows.len(), 1, "outlier row at target={probe} must be found");
         }
         // Normal rows still work.
-        let r = db.lookup_point(2, 123.0);
+        let r = run(&db, &Query::new().point(2, 123.0), PlanKind::Hermit);
         assert_eq!(r.rows.len(), 1);
     }
 
     #[test]
     fn false_positives_counted_and_validated_away() {
         // Inflate error_bound so the host ranges are wide → false positives
-        // get fetched but filtered.
+        // get fetched but filtered. The bound stays small enough against
+        // the host column's 20 000-wide range that the planner still
+        // prefers the Hermit route over a scan.
         let mut db = populated(TidScheme::Physical, 10_000, 0);
-        db.set_trs_params(hermit_trs::TrsParams::with_error_bound(5_000.0));
+        db.set_trs_params(hermit_trs::TrsParams::with_error_bound(1_000.0));
         db.create_baseline_index(1, true).unwrap();
         db.create_hermit_index(2, 1).unwrap();
-        let r = db.lookup_range(RangePredicate::range(2, 1_000.0, 1_009.0), None);
+        let r = run(&db, &Query::new().range(2, 1_000.0, 1_009.0), PlanKind::Hermit);
         assert_eq!(row_targets(&db, &r), (1_000..=1_009).map(|i| i as f64).collect::<Vec<_>>());
         assert!(
             r.false_positives > 0,
-            "huge error_bound must produce false positives to validate away"
+            "inflated error_bound must produce false positives to validate away"
         );
         assert!(r.false_positive_ratio() > 0.0 && r.false_positive_ratio() < 1.0);
     }
@@ -562,10 +349,8 @@ mod tests {
     fn extra_predicate_validated_at_base_table() {
         let db = hermit_db(TidScheme::Physical, 10_000, 0);
         // other = 10 * target; constrain other ∈ [1500, 1590] → target ∈ [150, 159].
-        let r = db.lookup_range(
-            RangePredicate::range(2, 100.0, 199.0),
-            Some(RangePredicate::range(3, 1_500.0, 1_590.0)),
-        );
+        let q = Query::new().range(2, 100.0, 199.0).range(3, 1_500.0, 1_590.0);
+        let r = run(&db, &q, PlanKind::Hermit);
         let targets = row_targets(&db, &r);
         assert_eq!(targets, (150..=159).map(|i| i as f64).collect::<Vec<_>>());
         assert!(r.false_positives >= 90, "rows failing the extra conjunct count as FPs");
@@ -573,12 +358,13 @@ mod tests {
 
     #[test]
     fn logical_scheme_records_primary_time() {
+        let q = Query::new().range(2, 0.0, 999.0);
         let db = hermit_db(TidScheme::Logical, 10_000, 0);
-        let r = db.lookup_range(RangePredicate::range(2, 0.0, 999.0), None);
+        let r = run(&db, &q, PlanKind::Hermit);
         assert_eq!(r.rows.len(), 1_000);
         assert!(r.breakdown.primary_index.as_nanos() > 0, "logical scheme must pay the hop");
         let db = hermit_db(TidScheme::Physical, 10_000, 0);
-        let r = db.lookup_range(RangePredicate::range(2, 0.0, 999.0), None);
+        let r = run(&db, &q, PlanKind::Hermit);
         assert_eq!(r.breakdown.primary_index.as_nanos(), 0, "physical scheme skips the hop");
     }
 
@@ -586,24 +372,25 @@ mod tests {
     fn deleted_rows_do_not_resurface() {
         let db = hermit_db(TidScheme::Logical, 1_000, 0);
         db.delete_by_pk(500).unwrap();
-        let r = db.lookup_range(RangePredicate::range(2, 499.0, 501.0), None);
+        let r = run(&db, &Query::new().range(2, 499.0, 501.0), PlanKind::Hermit);
         let targets = row_targets(&db, &r);
         assert_eq!(targets, vec![499.0, 501.0]);
     }
 
     #[test]
-    fn unindexed_column_returns_empty() {
+    fn unindexed_column_scans() {
         let db = populated(TidScheme::Physical, 100, 0);
-        let r = db.lookup_range(RangePredicate::range(2, 0.0, 10.0), None);
-        assert!(r.rows.is_empty());
+        let r = run(&db, &Query::new().range(2, 0.0, 10.0), PlanKind::Scan);
+        assert_eq!(row_targets(&db, &r), (0..=10).map(|i| i as f64).collect::<Vec<_>>());
+        assert_eq!(r.false_positives, 0, "a scan fetches no speculative candidates");
     }
 
     #[test]
     fn empty_predicate_range() {
         let db = hermit_db(TidScheme::Physical, 1_000, 0);
-        let r = db.lookup_range(RangePredicate::range(2, 900.0, 100.0), None);
+        let r = run(&db, &Query::new().range(2, 900.0, 100.0), PlanKind::Hermit);
         assert!(r.rows.is_empty(), "inverted range matches nothing");
-        let r = db.lookup_range(RangePredicate::range(2, 5_000.0, 6_000.0), None);
+        let r = run(&db, &Query::new().range(2, 5_000.0, 6_000.0), PlanKind::Hermit);
         assert!(r.rows.is_empty(), "out-of-domain range matches nothing");
     }
 }

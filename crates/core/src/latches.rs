@@ -37,11 +37,11 @@
 //! * **Composite reorganization** (`SharedDatabase::maintenance_pass`):
 //!   registry (write) → heap (read) — the rebuild scans the base table
 //!   under the registry latch so a racing insert cannot be erased.
-//! * **Query execution** (`Executor`): per-index (read) → heap (read)
-//!   while validating candidates; primary and heap fetches otherwise
-//!   happen after the index guard is released (candidate locs are copied
-//!   out), which is why `(40, 50)` and `(50, 60)` are *not* declared in
-//!   [`LATCH_NESTING_EDGES`].
+//! * **Query execution** (`Database::execute_plan`): no data-latch
+//!   nesting at all. Phases 1–2 copy candidate tids out of each index
+//!   guard and release it; phase 3 takes the primary index and phase 4 the
+//!   heap only afterwards, which is why `(40, 50)`, `(40, 60)` and
+//!   `(50, 60)` are *not* declared in [`LATCH_NESTING_EDGES`].
 //!
 //! Latches *internal* to one component (buffer-pool shards, the
 //! `ConcurrentTrsTree` node latches, the transaction-table mutex, the page
@@ -179,15 +179,15 @@ pub const LATCH_NESTING_EDGES: &[(u32, u32)] = &[
     (20, 40),
     (20, 50),
     (30, 60), // composite reorganization: heap scan under the registry latch
-    (40, 60), // query validation: heap re-check under the tree latch
               // Absent on purpose, per the reconciliation test:
               // * (10, 60) / (20, 60) — the durable substrate is paged, and the
               //   paged heap has no rank-60 latch (the buffer pool's shard locks
               //   are leaves); the in-memory heap latch never sits under the
               //   durability brackets because the mem substrate cannot checkpoint.
-              // * (40, 50) / (50, 60) — the executor copies candidate locs out of
-              //   each index guard before taking the next latch, so primary and
-              //   heap acquisitions never nest under another data latch.
+              // * (40, 50) / (40, 60) / (50, 60) — the executor copies candidate
+              //   tids out of each index guard and releases it before phase 3
+              //   resolves and phase 4 validates them, so primary and heap
+              //   acquisitions never nest under another data latch.
 ];
 
 // ---------------------------------------------------------------------

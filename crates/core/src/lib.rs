@@ -31,8 +31,9 @@
 //! [`Query`] of arbitrary conjuncts is turned into an inspectable, costed
 //! [`QueryPlan`] (EXPLAIN via `Display`) choosing among the Hermit route, a
 //! baseline index, a composite box scan, or a sequential-scan fallback;
-//! [`Database::execute`] and [`Database::execute_batch`] run plans through
-//! the scalar and vectorized pipelines respectively.
+//! [`Database::execute`], [`Database::execute_plan`] and
+//! [`Database::execute_batch`] run every plan through one page-grouped,
+//! snapshot-filtered pipeline ([`executor`], [`batch`]).
 //!
 //! [`txn`] adds multi-statement transactions on top: snapshot-isolation
 //! reads, first-writer-wins write locks, WAL commit records, and loser
@@ -55,7 +56,6 @@ pub mod recovery;
 pub mod shared;
 pub mod txn;
 
-pub use batch::BatchOptions;
 pub use breakdown::{InsertBreakdown, LookupBreakdown, Phase};
 pub use composite::{CompositeIndex, CompositeIndexes};
 pub use correlation::{discover_correlations, CorrelationReport, DiscoveryConfig};

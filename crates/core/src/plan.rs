@@ -134,7 +134,7 @@ impl PlanKind {
 /// An executable, inspectable query plan.
 ///
 /// Produced by [`Database::plan`]; executed by [`Database::execute_plan`]
-/// (scalar) or [`Database::execute_plans`] (vectorized). The `Display`
+/// or, inside a transaction, [`Database::execute_for_txn`]. The `Display`
 /// impl renders the stable EXPLAIN format.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryPlan {

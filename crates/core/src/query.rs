@@ -5,9 +5,10 @@
 //! columns, plus an optional projection and row limit — the shape of every
 //! lookup in the paper (`SELECT ... WHERE a BETWEEN ? AND ? AND b BETWEEN
 //! ? AND ?`). [`crate::Database::execute`] plans it with the cost-based
-//! planner ([`crate::plan`]) and funnels the chosen access path into the
-//! scalar pipeline; [`crate::Database::execute_batch`] funnels batches into
-//! the vectorized pipeline. Both return the same [`crate::QueryResult`]s.
+//! planner ([`crate::plan`]) and runs the chosen access path through the
+//! query pipeline; [`crate::Database::execute_batch`] does the same for
+//! many queries with reused scratch buffers, returning exactly the
+//! [`crate::QueryResult`]s the queries would return one at a time.
 //!
 //! # Plan nodes vs the paper's Fig. 3 phases
 //!

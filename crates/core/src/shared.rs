@@ -69,8 +69,9 @@
 use crate::composite::CompositeIndex;
 use crate::database::{Database, TablePairSource};
 use crate::index::SecondaryIndex;
+use crate::plan::QueryPlan;
 use crate::query::Query;
-use crate::{BatchOptions, QueryResult};
+use crate::QueryResult;
 use hermit_storage::{Tid, Value};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -89,7 +90,7 @@ fn _assert_database_is_shareable() {
 /// All methods take `&self`; clones share the same database. The handle
 /// exposes the write path and maintenance hooks directly and everything
 /// else through [`db`](Self::db) — the full `&self` query surface of
-/// [`Database`] (`execute`, `execute_batch`, `plan`, `lookup_range`, …) is
+/// [`Database`] (`plan`, `execute`, `execute_plan`, `execute_batch`, …) is
 /// available on the shared reference.
 ///
 /// Structural DDL (`create_*_index`) takes `&mut Database`, so build the
@@ -117,14 +118,15 @@ impl SharedDatabase {
         &self.inner
     }
 
-    /// Plan and execute a query through the scalar pipeline.
+    /// Plan and execute a query ([`Database::execute`]).
     pub fn execute(&self, query: &Query) -> QueryResult {
         self.inner.execute(query)
     }
 
-    /// Plan and execute a batch of queries through the vectorized pipeline.
-    pub fn execute_batch(&self, queries: &[Query], opts: &BatchOptions) -> Vec<QueryResult> {
-        self.inner.execute_batch(queries, opts)
+    /// Plan and execute a batch of queries with reused scratch buffers
+    /// ([`Database::execute_batch`]).
+    pub fn execute_batch(&self, queries: &[Query]) -> Vec<QueryResult> {
+        self.inner.execute_batch(queries)
     }
 
     /// Insert a row, maintaining every index (concurrent-writer safe).
@@ -168,10 +170,11 @@ impl SharedDatabase {
         self.inner.delete_by_pk_txn(txn, pk)
     }
 
-    /// Plan and execute a query reading *as* an open transaction: its own
-    /// uncommitted writes are visible, its pending deletes are not.
-    pub fn execute_for_txn(&self, query: &Query, txn: u64) -> QueryResult {
-        self.inner.execute_for_txn(query, txn)
+    /// Execute a plan reading *as* an open transaction: its own
+    /// uncommitted writes are visible, its pending deletes are not
+    /// ([`Database::execute_for_txn`]).
+    pub fn execute_for_txn(&self, plan: &QueryPlan, txn: u64) -> QueryResult {
+        self.inner.execute_for_txn(plan, txn)
     }
 
     /// Cumulative transaction counters (begins/commits/aborts/conflicts)

@@ -74,11 +74,12 @@
 //! guard serializing them); on a durable database every write path holds
 //! the WAL guard, which makes them exact.
 
+use crate::batch::BatchScratch;
 use crate::breakdown::InsertBreakdown;
 use crate::database::Database;
 use crate::error::CoreError;
 use crate::executor::QueryResult;
-use crate::query::Query;
+use crate::plan::QueryPlan;
 use hermit_storage::wal::WalRecord;
 use hermit_storage::{StorageError, Tid, Value};
 use hermit_txn::{DeleteMode, TxnCounters, TxnManager, Undo};
@@ -297,17 +298,12 @@ impl Database {
         Ok(())
     }
 
-    /// Plan and execute a query as transaction `txn`: the read view is
-    /// frozen with `txn` as the owner, so the transaction sees its own
+    /// Execute an already-built plan as transaction `txn`: the read view
+    /// is frozen with `txn` as the owner, so the transaction sees its own
     /// uncommitted writes (inserts visible, pending deletes gone) on top of
     /// the same snapshot rules every other reader gets.
-    pub fn execute_for_txn(&self, query: &Query, txn: u64) -> QueryResult {
-        let plan = self.plan(query);
-        // Shared visibility latch for the whole execution: the frozen view
-        // stays in lockstep with the heap until the last row is validated.
-        let _vis = self.txns.read_visibility();
-        let view = self.txns.read_view(Some(txn));
-        self.execute_plan_view(&plan, &view)
+    pub fn execute_for_txn(&self, plan: &QueryPlan, txn: u64) -> QueryResult {
+        self.run_plan(plan, Some(txn), &mut BatchScratch::default())
     }
 
     /// Apply an undo list in reverse order. Both compensations are
@@ -337,6 +333,7 @@ impl Database {
 mod tests {
     use super::*;
     use crate::executor::RangePredicate;
+    use crate::query::Query;
     use hermit_storage::{ColumnDef, Schema, TidScheme};
 
     fn schema() -> Schema {
@@ -372,9 +369,10 @@ mod tests {
         assert_eq!(count(&db, 200.0, 201.0), 0, "uncommitted insert invisible");
         assert_eq!(count(&db, 50.0, 50.0), 1, "pending delete still visible");
         // The owner sees its own writes.
-        let own = db.execute_for_txn(&Query::filter(RangePredicate::range(2, 200.0, 201.0)), t);
+        let own =
+            db.execute_for_txn(&db.plan(&Query::filter(RangePredicate::range(2, 200.0, 201.0))), t);
         assert_eq!(own.rows.len(), 1);
-        let own = db.execute_for_txn(&Query::filter(RangePredicate::point(2, 50.0)), t);
+        let own = db.execute_for_txn(&db.plan(&Query::filter(RangePredicate::point(2, 50.0))), t);
         assert!(own.rows.is_empty(), "owner must not see its own pending delete");
         db.commit_txn(t).unwrap();
         assert_eq!(count(&db, 200.0, 201.0), 1);
@@ -459,7 +457,7 @@ mod tests {
         let q = Query::filter(RangePredicate::range(1, 0.0, 10_000.0));
         let auto = db.execute(&q);
         assert_eq!(auto.rows.len(), 20, "scan: insert hidden, pending delete visible");
-        let own = db.execute_for_txn(&q, t);
+        let own = db.execute_for_txn(&db.plan(&q), t);
         assert_eq!(own.rows.len(), 20, "scan: owner sees insert, not its delete");
         db.rollback_txn(t).unwrap();
         assert_eq!(db.execute(&q).rows.len(), 20);

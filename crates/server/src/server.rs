@@ -398,7 +398,7 @@ fn handle_request(inner: &Arc<Inner>, request: Request, txn: &mut Option<u64>) -
             let kind = plan.kind();
             let t0 = Instant::now();
             let result = match *txn {
-                Some(t) => db.execute_for_txn(&query, t),
+                Some(t) => db.execute_for_txn(&plan, t),
                 None => db.db().execute_plan(&plan),
             };
             let elapsed = t0.elapsed();

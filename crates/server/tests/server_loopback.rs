@@ -10,7 +10,7 @@
 //! deadlines, and graceful shutdown with a final checkpoint.
 
 use hermit_core::shared::{MaintenanceConfig, MaintenanceWorker, SharedDatabase};
-use hermit_core::{Database, DurabilityConfig, Query};
+use hermit_core::{Database, DurabilityConfig, PlanKind, Query};
 use hermit_server::proto::{read_frame, write_frame};
 use hermit_server::{
     ClientError, ErrorCode, HermitClient, HermitServer, Request, Response, ServerConfig, MAX_FRAME,
@@ -140,6 +140,59 @@ fn single_session_full_command_set() {
     server.wait();
 }
 
+/// Per-plan-kind query counts from the stats exporter, in
+/// [`PlanKind::ALL`] order.
+fn query_counts(c: &mut HermitClient) -> Vec<u64> {
+    let stats = c.stats().unwrap();
+    PlanKind::ALL
+        .iter()
+        .map(|k| {
+            let prefix = format!("hermit_query_count{{plan=\"{}\"}} ", k.key());
+            stats
+                .lines()
+                .find_map(|l| l.strip_prefix(prefix.as_str()))
+                .map_or(0, |n| n.trim().parse().expect("numeric count"))
+        })
+        .collect()
+}
+
+/// A query inside a transaction is planned once and executed under the
+/// transaction's view: it sees the transaction's own uncommitted insert,
+/// and its latency is recorded exactly once, under the plan kind EXPLAIN
+/// reports for it.
+#[test]
+fn in_txn_query_sees_own_insert_and_is_counted_once_under_explained_kind() {
+    let (server, _shared) = boot(ServerConfig::default());
+    let mut c = connect(&server);
+    c.begin().unwrap();
+    c.insert(row_for(5_000)).unwrap();
+
+    let q = Query::new().point(2, 5_000.0);
+    let explained = c.explain(&q).unwrap();
+    let kind = PlanKind::ALL
+        .into_iter()
+        .position(|k| explained.contains(&format!("[{}]", k.label())))
+        .unwrap_or_else(|| panic!("EXPLAIN names no plan kind: {explained}"));
+    assert_eq!(PlanKind::ALL[kind], PlanKind::Hermit, "{explained}");
+
+    let before = query_counts(&mut c);
+    assert_eq!(tcp_pks(&c.query(&q).unwrap()), vec![5_000], "own uncommitted insert");
+    let after = query_counts(&mut c);
+    let deltas: Vec<u64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
+    let mut expected = vec![0; PlanKind::ALL.len()];
+    expected[kind] = 1;
+    assert_eq!(deltas, expected, "one query, counted once under `{}`", PlanKind::ALL[kind].key());
+
+    // Another session does not see the uncommitted row.
+    let mut other = connect(&server);
+    assert!(other.query(&q).unwrap().is_empty(), "uncommitted insert leaked");
+    c.rollback().unwrap();
+    assert!(c.query(&q).unwrap().is_empty(), "rolled-back insert must vanish");
+
+    c.shutdown().unwrap();
+    server.wait();
+}
+
 /// Four clients race inserts, deletes, and queries over TCP in disjoint
 /// pk regions while the §4.4 worker reorganizes underneath; every
 /// client's view of its own region stays exact at every step, and the
@@ -157,10 +210,10 @@ fn racing_clients_agree_with_oracle() {
         HermitServer::start(shared.clone(), Some(worker), ServerConfig::default(), "127.0.0.1:0")
             .expect("bind");
 
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for t in 0..CLIENTS {
             let server = &server;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut c = connect(server);
                 let base = BASE + t * REGION;
                 let mut live: Vec<i64> = Vec::new();
@@ -190,8 +243,7 @@ fn racing_clients_agree_with_oracle() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
 
     // Quiesced: the server's view over TCP equals the in-process oracle
     // for every region and for the full table.

@@ -343,7 +343,7 @@ pub fn build_parallel(
         subs.into_iter().zip(buckets).map(Some).collect();
     let mut subtrees: Vec<Option<TrsTree>> = (0..jobs.len()).map(|_| None).collect();
 
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut handles = Vec::new();
         let mut pending: Vec<usize> = (0..jobs.len()).collect();
         while !pending.is_empty() {
@@ -352,15 +352,14 @@ pub fn build_parallel(
                 let (sub, bucket) = jobs[idx].take().expect("job taken once");
                 handles.push((
                     idx,
-                    scope.spawn(move |_| TrsTree::build(sub_params, (sub.lb, sub.ub), bucket)),
+                    scope.spawn(move || TrsTree::build(sub_params, (sub.lb, sub.ub), bucket)),
                 ));
             }
             for (idx, h) in handles.drain(..) {
                 subtrees[idx] = Some(h.join().expect("subtree build panicked"));
             }
         }
-    })
-    .expect("thread scope");
+    });
 
     // Stitch: new arena with root internal node, then graft each subtree by
     // offsetting its node ids.

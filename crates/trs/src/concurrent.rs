@@ -60,7 +60,7 @@ impl ConcurrentTrsTree {
         self.tree.read().lookup_point(m)
     }
 
-    /// Scratch-reusing range lookup under the read latch (the vectorized
+    /// Scratch-reusing range lookup under the read latch (the query
     /// pipeline's phase 1).
     pub fn lookup_into(
         &self,
@@ -339,11 +339,11 @@ mod tests {
             (-10.0, 10.0),
             pairs,
         )));
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             // Writers.
             for w in 0..4u64 {
                 let tree = Arc::clone(&tree);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in 0..5_000u64 {
                         let m = (i % 2000) as f64 / 100.0 - 10.0;
                         tree.insert(m, 5.0e8, Tid(1_000_000 + w * 10_000 + i));
@@ -353,15 +353,14 @@ mod tests {
             // Readers.
             for _ in 0..4 {
                 let tree = Arc::clone(&tree);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in 0..2_000 {
                         let m = (i % 200) as f64 / 10.0 - 10.0;
                         let _ = tree.lookup(m, m + 0.5);
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert!(tree.stats().outliers >= 20_000, "all inserts must be visible");
     }
 
@@ -394,12 +393,12 @@ mod tests {
         let source = Arc::new(SharedSource(parking_lot::Mutex::new(pairs)));
 
         let extra_base = 3_000_000u64;
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             // Background reorg.
             {
                 let tree = Arc::clone(&tree);
                 let source = Arc::clone(&source);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for _ in 0..4 {
                         tree.reorganize_pass(source.as_ref(), 4);
                     }
@@ -410,15 +409,14 @@ mod tests {
             {
                 let tree = Arc::clone(&tree);
                 let source = Arc::clone(&source);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in 0..3_000u64 {
                         source.0.lock().push((5.0, 9.0e8, Tid(extra_base + i)));
                         tree.insert(5.0, 9.0e8, Tid(extra_base + i));
                     }
                 });
             }
-        })
-        .unwrap();
+        });
 
         assert!(tree.reorg_passes() >= 4);
         // Every concurrently-inserted tuple must be findable. Two legal
@@ -444,11 +442,11 @@ mod tests {
             pairs.clone(),
         )));
         let source = VecPairSource(pairs);
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             {
                 let tree = Arc::clone(&tree);
                 let source = &source;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in 0..8 {
                         tree.reorganize_first_level_subtree(i, source);
                     }
@@ -456,7 +454,7 @@ mod tests {
             }
             {
                 let tree = Arc::clone(&tree);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in 0..2_000 {
                         let m = (i % 190) as f64 / 10.0 - 9.5;
                         let r = tree.lookup_point(m);
@@ -467,8 +465,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert!(tree.reorg_passes() >= 1);
     }
 }

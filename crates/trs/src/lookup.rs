@@ -29,7 +29,7 @@ impl TrsLookup {
 }
 
 /// Reusable traversal scratch for [`TrsTree::lookup_into`]: the BFS queue
-/// survives across lookups so batched executors stop paying one queue
+/// survives across lookups so a batch of queries stops paying one queue
 /// allocation (plus growth) per query.
 #[derive(Debug, Default)]
 pub struct LookupScratch {
@@ -76,8 +76,8 @@ impl TrsTree {
 
     /// Allocation-lean form of [`lookup`](Self::lookup): clears and refills
     /// `out` (whose `ranges`/`tids` buffers keep their capacity) and reuses
-    /// the BFS queue in `scratch`. Batched executors call this once per
-    /// predicate with long-lived buffers.
+    /// the BFS queue in `scratch`. The query pipeline calls this once per
+    /// query with buffers that live across a batch.
     pub fn lookup_into(&self, lb: f64, ub: f64, scratch: &mut LookupScratch, out: &mut TrsLookup) {
         out.ranges.clear();
         out.tids.clear();

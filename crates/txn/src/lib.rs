@@ -446,11 +446,6 @@ pub struct ReadView {
 }
 
 impl ReadView {
-    /// A view that filters nothing (no open transactions).
-    pub fn unfiltered() -> Self {
-        ReadView { owner: None, dirty: None }
-    }
-
     /// Whether this view needs per-row pk checks at all. `false` is the
     /// fast path: the executor skips the overlay entirely.
     pub fn is_filtering(&self) -> bool {

@@ -106,7 +106,7 @@ pub fn build_sensor(config: &SensorConfig, scheme: TidScheme) -> Database {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hermit_core::RangePredicate;
+    use hermit_core::{PlanKind, Query};
     use hermit_stats::{pearson, spearman};
 
     fn small() -> SensorConfig {
@@ -160,7 +160,9 @@ mod tests {
         let width = hi - lo;
         let (qlo, qhi) = (lo + 0.4 * width, lo + 0.45 * width);
         drop(table); // release the heap latch before the query takes index latches
-        let r = db.lookup_range(RangePredicate::range(cfg.sensor_col(5), qlo, qhi), None);
+        let plan = db.plan(&Query::new().range(cfg.sensor_col(5), qlo, qhi));
+        assert_eq!(plan.kind(), PlanKind::Hermit, "{plan}");
+        let r = db.execute_plan(&plan);
         // Exactness vs a scan.
         let hermit_core::Heap::Mem(table) = db.heap() else { unreachable!() };
         let table = table.read();

@@ -120,7 +120,7 @@ pub fn build_stock(config: &StockConfig, scheme: TidScheme) -> Database {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hermit_core::RangePredicate;
+    use hermit_core::{PlanKind, Query};
     use hermit_stats::pearson;
 
     fn small() -> StockConfig {
@@ -205,7 +205,9 @@ mod tests {
         let (lo, hi) = stats.range().unwrap();
         let mid = (lo + hi) / 2.0;
         drop(table); // release the heap latch before the query takes index latches
-        let r = db.lookup_range(RangePredicate::range(cfg.high_col(0), mid * 0.9, mid * 1.1), None);
+        let plan = db.plan(&Query::new().range(cfg.high_col(0), mid * 0.9, mid * 1.1));
+        assert_eq!(plan.kind(), PlanKind::Hermit, "{plan}");
+        let r = db.execute_plan(&plan);
         // Exactness check against a scan.
         let hermit_core::Heap::Mem(table) = db.heap() else { unreachable!() };
         let table = table.read();
@@ -225,10 +227,12 @@ mod tests {
         let table = table.read();
         let (lo, hi) = table.stats(cfg.high_col(1)).unwrap().range().unwrap();
         drop(table); // release the heap latch before the query takes index latches
-        let r = db.lookup_range(
-            RangePredicate::range(cfg.high_col(1), lo, hi),
-            Some(RangePredicate::range(0, 100.0, 199.0)),
-        );
+        let w = hi - lo;
+        let q =
+            Query::new().range(cfg.high_col(1), lo + 0.4 * w, lo + 0.45 * w).range(0, 100.0, 199.0);
+        let plan = db.plan(&q);
+        assert_eq!(plan.kind(), PlanKind::Hermit, "{plan}");
+        let r = db.execute_plan(&plan);
         assert!(r.rows.len() <= 100, "time conjunct must cap the result");
         for &loc in &r.rows {
             let t = db.heap().value_f64(loc, 0).unwrap().unwrap();

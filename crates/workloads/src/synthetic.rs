@@ -154,7 +154,7 @@ pub fn build_synthetic(config: &SyntheticConfig, scheme: TidScheme) -> Database 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hermit_core::RangePredicate;
+    use hermit_core::{PlanKind, Query};
 
     #[test]
     fn generates_requested_cardinality() {
@@ -242,7 +242,9 @@ mod tests {
         let cfg = SyntheticConfig { tuples: 20_000, ..Default::default() };
         let mut db = build_synthetic(&cfg, TidScheme::Logical);
         db.create_hermit_index(cols::COL_C, cols::COL_B).unwrap();
-        let r = db.lookup_range(RangePredicate::range(cols::COL_C, 1_000.0, 1_200.0), None);
+        let plan = db.plan(&Query::new().range(cols::COL_C, 1_000.0, 1_200.0));
+        assert_eq!(plan.kind(), PlanKind::Hermit, "{plan}");
+        let r = db.execute_plan(&plan);
         // colC is uniform over [0, 20000): expect ≈ 200 rows (1% selectivity).
         assert!((150..=260).contains(&r.rows.len()), "expected ≈200 rows, got {}", r.rows.len());
         // Exactness: every returned row satisfies the predicate.

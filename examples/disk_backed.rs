@@ -8,7 +8,7 @@
 //! cargo run --release --example disk_backed
 //! ```
 
-use hermit::core::{Database, RangePredicate};
+use hermit::core::{Database, Query};
 use hermit::storage::paged::{BufferPool, PagedTable, SimulatedPageStore};
 use hermit::storage::{ColumnDef, Schema, Value};
 use std::sync::Arc;
@@ -50,7 +50,7 @@ fn main() {
     let queries = 50;
     for q in 0..queries {
         let lb = (q * 97) as f64;
-        let r = db.lookup_range(RangePredicate::range(2, lb, lb + 60.0), None);
+        let r = db.execute(&Query::new().range(2, lb, lb + 60.0));
         rows += r.rows.len();
     }
     let elapsed = t0.elapsed();

@@ -65,11 +65,11 @@ fn main() {
 
     // Background reorganization with concurrent readers and writers
     // (Appendix B's flag + side-buffer protocol).
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         {
             let tree = Arc::clone(&tree);
             let table = Arc::clone(&table);
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let mut passes = 0;
                 while passes < 16 {
                     let processed = tree.reorganize_pass(table.as_ref(), 8);
@@ -83,7 +83,7 @@ fn main() {
         // A reader hammering the shifted region the whole time.
         {
             let tree = Arc::clone(&tree);
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for i in 0..20_000 {
                     let m = 60_000.0 + (i % 70_000) as f64;
                     let r = tree.lookup_point(m);
@@ -95,7 +95,7 @@ fn main() {
         {
             let tree = Arc::clone(&tree);
             let table = Arc::clone(&table);
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for i in 0..10_000u64 {
                     let m = 60_000.0 + (i % 70_000) as f64 + 0.5;
                     let nv = 5.0 * m + 1_000.0;
@@ -104,8 +104,7 @@ fn main() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
 
     let memory = tree.compacted_memory_bytes();
     let s = tree.stats();

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use hermit::core::{Database, DiscoveryConfig, RangePredicate};
+use hermit::core::{Database, DiscoveryConfig, PlanKind, Query};
 use hermit::storage::{ColumnDef, Schema, TidScheme, Value};
 
 fn main() {
@@ -48,8 +48,13 @@ fn main() {
     );
 
     // Range query on the Hermit-indexed column. Results are exact: the
-    // three-phase lookup validates candidates against the base table.
-    let result = db.lookup_range(RangePredicate::range(2, 500.0, 520.0), None);
+    // lookup validates candidates against the base table.
+    let plan = db.plan(&Query::new().range(2, 500.0, 520.0));
+    print!("{plan}");
+    if used_hermit {
+        assert_eq!(plan.kind(), PlanKind::Hermit, "a narrow range must take the Hermit route");
+    }
+    let result = db.execute_plan(&plan);
     println!(
         "orders with total in [500, 520]: {} rows ({} false positives removed)",
         result.rows.len(),

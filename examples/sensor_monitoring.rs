@@ -7,7 +7,7 @@
 //! cargo run --release --example sensor_monitoring
 //! ```
 
-use hermit::core::RangePredicate;
+use hermit::core::Query;
 use hermit::storage::TidScheme;
 use hermit::workloads::{build_sensor, QueryGen, SensorConfig};
 use std::time::Instant;
@@ -46,7 +46,7 @@ fn main() {
     let queries = gen.ranges(0.02, 200);
     let t0 = Instant::now();
     for &(lb, ub) in &queries {
-        let r = db.lookup_range(RangePredicate::range(col, lb, ub), None);
+        let r = db.execute(&Query::new().range(col, lb, ub));
         total_rows += r.rows.len();
         total_fps += r.false_positives;
     }

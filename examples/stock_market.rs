@@ -7,7 +7,7 @@
 //! cargo run --release --example stock_market
 //! ```
 
-use hermit::core::RangePredicate;
+use hermit::core::Query;
 use hermit::storage::TidScheme;
 use hermit::trs::ConcurrentTrsTree;
 use hermit::workloads::{build_stock, StockConfig};
@@ -53,15 +53,15 @@ fn main() {
     let hermit::core::Heap::Mem(table) = db.heap() else { unreachable!() };
     let (lo, hi) = table.read().stats(cfg.high_col(stock)).unwrap().range().unwrap();
     let band = (lo + (hi - lo) * 0.45, lo + (hi - lo) * 0.55);
-    let result = db.lookup_range(
-        RangePredicate::range(cfg.high_col(stock), band.0, band.1),
-        Some(RangePredicate::range(0, 2_000.0, 8_000.0)),
-    );
+    let query = Query::new().range(cfg.high_col(stock), band.0, band.1).range(0, 2_000.0, 8_000.0);
+    let plan = db.plan(&query);
+    let result = db.execute_plan(&plan);
     println!(
-        "days with high_{stock} in [{:.2}, {:.2}] during days 2000–8000: {} (false positives filtered: {})",
+        "days with high_{stock} in [{:.2}, {:.2}] during days 2000–8000: {} via the {} (false positives filtered: {})",
         band.0,
         band.1,
         result.rows.len(),
+        plan.kind().label(),
         result.false_positives
     );
 

@@ -37,14 +37,14 @@ fn writers_readers_and_reorg_for_many_rounds() {
     )));
     let next_tid = Arc::new(AtomicU64::new(1_000_000));
 
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         // 3 writer threads: insert off-model tuples (guaranteed buffered or
         // modeled after reorg), table first, index second.
         for w in 0..3u64 {
             let tree = Arc::clone(&tree);
             let table = Arc::clone(&table);
             let next_tid = Arc::clone(&next_tid);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in 0..4_000u64 {
                     let tid = Tid(next_tid.fetch_add(1, Ordering::Relaxed));
                     let m = -10.0 + ((w * 4_000 + i) % 20_000) as f64 / 1_000.0;
@@ -58,7 +58,7 @@ fn writers_readers_and_reorg_for_many_rounds() {
         // truth (reorganization must never expose a half-built structure).
         for _ in 0..2 {
             let tree = Arc::clone(&tree);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in 0..6_000 {
                     let m = -9.9 + (i % 1_980) as f64 / 100.0;
                     let truth = 1000.0 / (1.0 + (-m).exp());
@@ -72,7 +72,7 @@ fn writers_readers_and_reorg_for_many_rounds() {
         {
             let tree = Arc::clone(&tree);
             let table = Arc::clone(&table);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for round in 0..12 {
                     tree.reorganize_pass(table.as_ref(), 8);
                     if round % 3 == 0 {
@@ -81,8 +81,7 @@ fn writers_readers_and_reorg_for_many_rounds() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
 
     // Every written tuple is findable (buffered or modeled+in-band).
     let written = next_tid.load(Ordering::Relaxed) - 1_000_000;
@@ -109,14 +108,14 @@ fn delete_heavy_workload_with_reorg() {
         pairs.clone(),
     )));
 
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         // Deleters remove the middle band from table and index.
         {
             let tree = Arc::clone(&tree);
             let table = Arc::clone(&table);
             let doomed: Vec<(f64, f64, Tid)> =
                 pairs.iter().copied().filter(|(m, _, _)| (-2.0..=2.0).contains(m)).collect();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for (m, _, tid) in doomed {
                     table.0.lock().retain(|(_, _, t)| *t != tid);
                     tree.delete(m, tid);
@@ -126,7 +125,7 @@ fn delete_heavy_workload_with_reorg() {
         // Readers on the untouched tails.
         for sign in [-1.0f64, 1.0] {
             let tree = Arc::clone(&tree);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in 0..3_000 {
                     let m = sign * (4.0 + (i % 500) as f64 / 100.0);
                     let truth = 1000.0 / (1.0 + (-m).exp());
@@ -139,14 +138,13 @@ fn delete_heavy_workload_with_reorg() {
         {
             let tree = Arc::clone(&tree);
             let table = Arc::clone(&table);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for _ in 0..6 {
                     tree.reorganize_pass(table.as_ref(), 8);
                 }
             });
         }
-    })
-    .unwrap();
+    });
 
     // Tails still answer correctly after the dust settles.
     for m in [-8.0f64, -5.0, 5.0, 8.0] {
@@ -161,11 +159,12 @@ fn delete_heavy_workload_with_reorg() {
 
 #[test]
 fn parallel_batched_lookups_through_sharded_pool() {
-    // Many client threads drive parallel batched lookups against one paged
-    // database (sharded buffer pool, pool far smaller than the heap so
-    // validation churns through evictions on every query). Every result
-    // must match a scalar lookup computed up front.
-    use hermit::core::{BatchOptions, Database, RangePredicate};
+    // Many client threads drive batched lookups in parallel against one
+    // paged database (sharded buffer pool, pool far smaller than the heap
+    // so validation churns through evictions on every query). Every result
+    // must match a single-query execution computed up front, which in turn
+    // matches the generator formula (target = pk, every row live).
+    use hermit::core::{Database, PlanKind, Query};
     use hermit::storage::paged::{BufferPool, PagedTable, SimulatedPageStore};
     use hermit::storage::{ColumnDef, Schema, Value};
 
@@ -186,41 +185,41 @@ fn parallel_batched_lookups_through_sharded_pool() {
     db.create_hermit_index(2, 1).unwrap();
     let db = Arc::new(db);
 
-    let preds: Vec<RangePredicate> = (0..32)
-        .map(|i| RangePredicate::range(2, i as f64 * 900.0, i as f64 * 900.0 + 449.0))
+    let queries: Vec<Query> = (0..32)
+        .map(|i| Query::new().range(2, i as f64 * 900.0, i as f64 * 900.0 + 449.0))
         .collect();
-    let expected: Vec<(Vec<_>, usize)> = preds
+    let expected: Vec<(Vec<_>, usize)> = queries
         .iter()
-        .map(|&p| {
-            let mut r = db.lookup_range(p, None);
+        .map(|q| {
+            assert_eq!(db.plan(q).kind(), PlanKind::Hermit, "{q:?}");
+            let mut r = db.execute(q);
             r.rows.sort_unstable();
+            assert_eq!(r.rows.len(), 450, "{q:?}");
             (r.rows, r.false_positives)
         })
         .collect();
 
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for t in 0..4 {
             let db = Arc::clone(&db);
-            let preds = &preds;
+            let queries = &queries;
             let expected = &expected;
-            s.spawn(move |_| {
-                let opts = BatchOptions::with_threads(1 + t % 3);
+            s.spawn(move || {
                 for round in 0..8 {
-                    let results = db.lookup_batch_with(preds, None, &opts);
+                    let results = db.execute_batch(queries);
                     for (i, r) in results.iter().enumerate() {
                         let mut rows = r.rows.clone();
                         rows.sort_unstable();
                         assert_eq!(
                             (rows, r.false_positives),
                             expected[i].clone(),
-                            "client {t} round {round} pred {i} diverged under contention"
+                            "client {t} round {round} query {i} diverged under contention"
                         );
                     }
                 }
             });
         }
-    })
-    .unwrap();
+    });
 }
 
 #[test]
@@ -232,10 +231,10 @@ fn snapshot_taken_during_concurrent_reads_is_consistent() {
         pairs,
     )));
     // Readers run while we clone the inner tree (read latch) and snapshot.
-    let snapshot_bytes = crossbeam::thread::scope(|s| {
+    let snapshot_bytes = std::thread::scope(|s| {
         for _ in 0..3 {
             let tree = Arc::clone(&tree);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in 0..2_000 {
                     let m = -9.0 + (i % 1_800) as f64 / 100.0;
                     std::hint::black_box(tree.lookup_point(m));
@@ -248,8 +247,7 @@ fn snapshot_taken_during_concurrent_reads_is_consistent() {
         let mut inner = TrsTree::build(TrsParams::default(), (-10.0, 10.0), sigmoid_pairs(15_000));
         assert_eq!(inner.stats().leaves, stats.leaves);
         inner.snapshot_bytes().unwrap()
-    })
-    .unwrap();
+    });
     let restored = TrsTree::restore_from(snapshot_bytes.as_slice()).unwrap();
     restored.check_invariants().unwrap();
 }

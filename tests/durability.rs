@@ -4,7 +4,7 @@
 //!
 //! * **Checkpoint-only**: a checkpointed database, dropped and reopened,
 //!   answers every query-API shape (Hermit route, baseline range, seq
-//!   scan, multi-conjunct, projection/limit; scalar and batched) exactly
+//!   scan, multi-conjunct, projection/limit; alone and batched) exactly
 //!   like the pre-crash database did.
 //! * **Checkpoint + WAL replay**: DML after the last checkpoint survives a
 //!   crash as long as it was WAL-committed.
@@ -19,7 +19,7 @@
 
 use hermit::core::recovery::{DurabilityConfig, PAGES_FILE, WAL_FILE};
 use hermit::core::shared::SharedDatabase;
-use hermit::core::{BatchOptions, CoreError, Database, PlanKind, Query, RangePredicate};
+use hermit::core::{CoreError, Database, PlanKind, Query, RangePredicate};
 use hermit::fault::FaultyPageStore;
 use hermit::storage::paged::{PageId, PageStore};
 use hermit::storage::{ColumnDef, Schema, TidScheme, Value};
@@ -81,21 +81,18 @@ fn snapshot_results(db: &Database) -> Vec<Vec<Vec<Value>>> {
     queries().iter().map(|q| rows_of(db, &db.execute(q))).collect()
 }
 
-/// Assert `db` answers every query shape — scalar and batched, single- and
-/// multi-threaded — exactly as `expected` (captured pre-crash).
+/// Assert `db` answers every query shape — one at a time and as a batch —
+/// exactly as `expected` (captured pre-crash).
 fn assert_matches_oracle(db: &Database, expected: &[Vec<Vec<Value>>], ctx: &str) {
     let qs = queries();
     for (q, want) in qs.iter().zip(expected) {
         let got = rows_of(db, &db.execute(q));
-        assert_eq!(&got, want, "{ctx}: scalar result diverged for {q:?}");
+        assert_eq!(&got, want, "{ctx}: result diverged for {q:?}");
     }
-    for threads in [1, 3] {
-        let opts = BatchOptions::with_threads(threads);
-        let batched = db.execute_batch(&qs, &opts);
-        for ((q, want), r) in qs.iter().zip(expected).zip(&batched) {
-            let got = rows_of(db, r);
-            assert_eq!(&got, want, "{ctx}: batched({threads}) result diverged for {q:?}");
-        }
+    let batched = db.execute_batch(&qs);
+    for ((q, want), r) in qs.iter().zip(expected).zip(&batched) {
+        let got = rows_of(db, r);
+        assert_eq!(&got, want, "{ctx}: batched result diverged for {q:?}");
     }
 }
 

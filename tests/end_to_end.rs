@@ -3,7 +3,7 @@
 //! schemes, both storage substrates, and through distribution shifts.
 
 use hermit::core::database::TablePairSource;
-use hermit::core::{Database, DiscoveryConfig, Heap, RangePredicate, SecondaryIndex};
+use hermit::core::{Database, DiscoveryConfig, Heap, PlanKind, Query, QueryResult, SecondaryIndex};
 use hermit::storage::paged::{BufferPool, PagedTable, SimulatedPageStore};
 use hermit::storage::{ColumnDef, Schema, TidScheme, Value};
 use hermit::trs::PairSource;
@@ -39,6 +39,13 @@ fn scan_count(
         .count()
 }
 
+/// Execute `q`, asserting the planner routes it through `kind`.
+fn run(db: &Database, q: &Query, kind: PlanKind) -> QueryResult {
+    let plan = db.plan(q);
+    assert_eq!(plan.kind(), kind, "unexpected plan:\n{plan}");
+    db.execute_plan(&plan)
+}
+
 #[test]
 fn synthetic_hermit_matches_scan_all_configs() {
     for kind in [CorrelationKind::Linear, CorrelationKind::Sigmoid] {
@@ -53,12 +60,12 @@ fn synthetic_hermit_matches_scan_all_configs() {
             db.create_hermit_index(cols::COL_C, cols::COL_B).unwrap();
             let mut gen = QueryGen::new(cfg.target_domain(), 0xE2E);
             for (lb, ub) in gen.ranges(0.005, 20) {
-                let got = db.lookup_range(RangePredicate::range(cols::COL_C, lb, ub), None);
+                let got = run(&db, &Query::new().range(cols::COL_C, lb, ub), PlanKind::Hermit);
                 let want = scan_count(&db, cols::COL_C, lb, ub, None);
                 assert_eq!(got.rows.len(), want, "{kind:?}/{scheme:?} on [{lb}, {ub}]");
             }
             for p in gen.points(20) {
-                let got = db.lookup_point(cols::COL_C, p);
+                let got = run(&db, &Query::new().point(cols::COL_C, p), PlanKind::Hermit);
                 let want = scan_count(&db, cols::COL_C, p, p, None);
                 assert_eq!(got.rows.len(), want, "{kind:?}/{scheme:?} point {p}");
             }
@@ -77,11 +84,9 @@ fn stock_hermit_matches_scan_with_time_conjunct() {
         let col = cfg.high_col(s);
         let Heap::Mem(table) = db.heap() else { unreachable!() };
         let (lo, hi) = table.read().stats(col).unwrap().range().unwrap();
-        let band = (lo + (hi - lo) * 0.3, lo + (hi - lo) * 0.6);
-        let got = db.lookup_range(
-            RangePredicate::range(col, band.0, band.1),
-            Some(RangePredicate::range(0, 1_000.0, 3_000.0)),
-        );
+        let band = (lo + (hi - lo) * 0.4, lo + (hi - lo) * 0.45);
+        let q = Query::new().range(col, band.0, band.1).range(0, 1_000.0, 3_000.0);
+        let got = run(&db, &q, PlanKind::Hermit);
         let want = scan_count(&db, col, band.0, band.1, Some((0, 1_000.0, 3_000.0)));
         assert_eq!(got.rows.len(), want, "stock {s}");
     }
@@ -99,7 +104,7 @@ fn sensor_hermit_matches_scan_on_every_sensor() {
         let Heap::Mem(table) = db.heap() else { unreachable!() };
         let (lo, hi) = table.read().stats(col).unwrap().range().unwrap();
         let band = (lo + (hi - lo) * 0.4, lo + (hi - lo) * 0.5);
-        let got = db.lookup_range(RangePredicate::range(col, band.0, band.1), None);
+        let got = run(&db, &Query::new().range(col, band.0, band.1), PlanKind::Hermit);
         let want = scan_count(&db, col, band.0, band.1, None);
         assert_eq!(got.rows.len(), want, "sensor {i}");
     }
@@ -115,8 +120,9 @@ fn hermit_equals_baseline_row_sets() {
 
     let mut gen = QueryGen::new(cfg.target_domain(), 7);
     for (lb, ub) in gen.ranges(0.01, 25) {
-        let mut h = hermit.lookup_range(RangePredicate::range(cols::COL_C, lb, ub), None).rows;
-        let mut b = baseline.lookup_range(RangePredicate::range(cols::COL_C, lb, ub), None).rows;
+        let q = Query::new().range(cols::COL_C, lb, ub);
+        let mut h = run(&hermit, &q, PlanKind::Hermit).rows;
+        let mut b = run(&baseline, &q, PlanKind::Baseline).rows;
         h.sort();
         b.sort();
         assert_eq!(h, b, "row sets must be identical on [{lb}, {ub}]");
@@ -143,7 +149,7 @@ fn inserts_deletes_stay_consistent() {
     // Hermit results still exactly match the scan.
     let mut gen = QueryGen::new((400.0, 1_200.0), 3);
     for (lb, ub) in gen.ranges(0.05, 15) {
-        let got = db.lookup_range(RangePredicate::range(cols::COL_C, lb, ub), None);
+        let got = run(&db, &Query::new().range(cols::COL_C, lb, ub), PlanKind::Hermit);
         let want = scan_count(&db, cols::COL_C, lb, ub, None);
         assert_eq!(got.rows.len(), want, "after churn on [{lb}, {ub}]");
     }
@@ -185,7 +191,7 @@ fn reorganization_through_database_pair_source() {
     assert!(after * 5 < before, "reorg should shrink buffers: {before} -> {after}");
 
     // Queries remain exact.
-    let got = db.lookup_range(RangePredicate::range(cols::COL_C, 2_100.0, 2_200.0), None);
+    let got = run(&db, &Query::new().range(cols::COL_C, 2_100.0, 2_200.0), PlanKind::Hermit);
     let want = scan_count(&db, cols::COL_C, 2_100.0, 2_200.0, None);
     assert_eq!(got.rows.len(), want);
 }
@@ -208,7 +214,7 @@ fn paged_database_full_pipeline() {
     db.create_baseline_index(1, true).unwrap();
     db.create_hermit_index(2, 1).unwrap();
 
-    let r = db.lookup_range(RangePredicate::range(2, 5_000.0, 5_099.0), None);
+    let r = run(&db, &Query::new().range(2, 5_000.0, 5_099.0), PlanKind::Hermit);
     assert_eq!(r.rows.len(), 100);
     for &loc in &r.rows {
         let v = db.heap().value_f64(loc, 2).unwrap().unwrap();
@@ -272,14 +278,19 @@ fn memory_claim_holds_across_workloads() {
 #[test]
 fn error_bound_zero_and_huge_both_stay_exact() {
     // §6's tradeoff discussion: error_bound trades memory for lookup work,
-    // but results must stay exact at both extremes.
+    // but results must stay exact at both extremes. At 10 000 the bands
+    // span ±5 000 tuples around a 500-tuple query, yet the host column is
+    // wide enough (≥ 200 000) that the planner still takes the Hermit route.
     for eb in [0.0, 10_000.0] {
-        let cfg = SyntheticConfig { tuples: 10_000, noise_fraction: 0.01, ..Default::default() };
+        let cfg = SyntheticConfig { tuples: 100_000, noise_fraction: 0.01, ..Default::default() };
         let mut db = build_synthetic(&cfg, TidScheme::Physical);
         db.set_trs_params(TrsParams::with_error_bound(eb));
         db.create_hermit_index(cols::COL_C, cols::COL_B).unwrap();
-        let got = db.lookup_range(RangePredicate::range(cols::COL_C, 1_000.0, 1_500.0), None);
+        let got = run(&db, &Query::new().range(cols::COL_C, 1_000.0, 1_500.0), PlanKind::Hermit);
         let want = scan_count(&db, cols::COL_C, 1_000.0, 1_500.0, None);
         assert_eq!(got.rows.len(), want, "error_bound = {eb}");
+        if eb > 0.0 {
+            assert!(got.false_positives > 0, "wide bands must fetch false positives");
+        }
     }
 }

@@ -13,7 +13,7 @@
 //! reconciliation.
 
 use hermit::core::latches::{set_witness_panic, witness_violations};
-use hermit::core::{Database, Heap, Query, RangePredicate};
+use hermit::core::{Database, Heap, PlanKind, Query, RangePredicate};
 use hermit::storage::{ColumnDef, Schema, TidScheme, Value};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -33,8 +33,7 @@ fn build_db() -> Database {
     db
 }
 
-/// The inversion the PR 10 workload tests used to contain for real (heap
-/// guard held across `lookup_range`, which takes the host-tree latch):
+/// A heap guard held across a query, which takes the host-tree latch:
 /// rank 40 under rank 60. In panic mode the witness aborts the query; in
 /// count mode it records the violation and lets execution continue.
 #[test]
@@ -45,28 +44,34 @@ fn heap_guard_held_across_query_is_caught() {
     }
     let db = build_db();
 
+    // Plan before taking the guard (planning reads the composite registry,
+    // rank 30), so the seeded inversion is exactly the executor's
+    // host-tree acquisition.
+    let query = Query::filter(RangePredicate::range(2, 100.0, 200.0));
+    let plan = db.plan(&query);
+    assert_eq!(plan.kind(), PlanKind::Hermit, "the query must take the index latches");
+
     // Panic mode (the default): the acquisition itself must abort.
     let Heap::Mem(table) = db.heap() else { unreachable!() };
     let guard = table.read();
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        db.lookup_range(RangePredicate::range(2, 100.0, 200.0), None)
-    }));
+    let result = catch_unwind(AssertUnwindSafe(|| db.execute_plan(&plan)));
     let err = result.expect_err("witness must panic on the inversion");
     let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
     assert!(msg.contains("latch witness"), "unexpected panic: {msg}");
+    assert!(msg.contains("(rank 40)"), "expected the host-tree latch: {msg}");
     drop(guard);
 
     // Count mode: same inversion, recorded instead of fatal.
     set_witness_panic(false);
     let before = witness_violations();
     let guard = table.read();
-    let r = db.lookup_range(RangePredicate::range(2, 100.0, 200.0), None);
+    let r = db.execute_plan(&plan);
     drop(guard);
     set_witness_panic(true);
     assert!(witness_violations() > before, "count mode must record the violation");
     assert!(!r.rows.is_empty(), "count mode must not alter results");
 
     // Sanity: the same query without the held guard is clean either way.
-    let clean = db.execute(&Query::filter(RangePredicate::range(2, 100.0, 200.0)));
+    let clean = db.execute(&query);
     assert_eq!(clean.rows.len(), r.rows.len());
 }

@@ -80,7 +80,7 @@ fn mem_workload() {
     for pk in 10_000..10_020i64 {
         shared.insert_txn(txn, &row(pk)).unwrap();
     }
-    shared.execute_for_txn(&queries()[0], txn);
+    shared.execute_for_txn(&shared.db().plan(&queries()[0]), txn);
     shared.commit(txn).unwrap();
     let loser = shared.begin().unwrap();
     shared.insert_txn(loser, &row(20_000)).unwrap();

@@ -1,12 +1,12 @@
 //! Property-based planner equivalence: for random multi-conjunct queries
 //! over every substrate/tid-scheme combination, the planner-executed
 //! results must equal a full-scan oracle computed from the generator
-//! formulas — whatever access path the planner picks — and the batched
-//! executor must agree with the scalar executor bit-for-bit on rows,
-//! false-positive and unresolved counts. Includes the unindexed-column
-//! case that, pre-planner, silently returned an empty result.
+//! formulas — whatever access path the planner picks — and a batch must
+//! return bit-for-bit what the same query returns on its own: rows in
+//! order, false-positive and unresolved counts. Includes the
+//! unindexed-column case, which takes the scan plan.
 
-use hermit::core::{BatchOptions, Database, PlanKind, Query, RangePredicate};
+use hermit::core::{Database, PlanKind, Query, RangePredicate};
 use hermit::storage::paged::{BufferPool, PagedTable, SimulatedPageStore};
 use hermit::storage::{ColumnDef, RowLoc, Schema, TidScheme, Value};
 use proptest::prelude::*;
@@ -110,8 +110,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// Rows from `execute` match the oracle exactly; `execute_batch`
-    /// (sequential and 3-threaded) matches `execute` on rows *and*
-    /// false-positive/unresolved counts, for every substrate and scheme.
+    /// matches `execute` on rows (in order) *and* false-positive/unresolved
+    /// counts, for every substrate and scheme.
     #[test]
     fn planner_execution_matches_full_scan_oracle(
         kind in 0u8..3,
@@ -130,25 +130,23 @@ proptest! {
         }
 
         let expect = oracle(&db, n, delete_every, &preds);
-        let scalar = db.execute(&q);
+        let single = db.execute(&q);
         prop_assert_eq!(
-            sorted(&scalar.rows),
-            expect.clone(),
-            "scalar execute vs oracle (kind={}, plan={:?})",
+            sorted(&single.rows),
+            expect,
+            "execute vs oracle (kind={}, plan={:?})",
             kind,
             db.plan(&q).kind()
         );
 
-        for threads in [1usize, 3] {
-            let batched =
-                &db.execute_batch(std::slice::from_ref(&q), &BatchOptions::with_threads(threads))[0];
-            prop_assert_eq!(sorted(&batched.rows), expect.clone(), "batched rows (t={})", threads);
-            prop_assert_eq!(
-                batched.false_positives, scalar.false_positives,
-                "false positives (t={})", threads
-            );
-            prop_assert_eq!(batched.unresolved, scalar.unresolved, "unresolved (t={})", threads);
-        }
+        // The query sits between two others so scratch state left by its
+        // neighbours would show.
+        let neighbour = Query::new().range(TARGET, 0.0, 50.0);
+        let batch = [neighbour.clone(), q, neighbour];
+        let batched = &db.execute_batch(&batch)[1];
+        prop_assert_eq!(&batched.rows, &single.rows, "batched rows");
+        prop_assert_eq!(batched.false_positives, single.false_positives, "false positives");
+        prop_assert_eq!(batched.unresolved, single.unresolved, "unresolved");
     }
 
     /// Queries touching only the unindexed column take the scan plan and
@@ -168,9 +166,6 @@ proptest! {
         let r = db.execute_plan(&plan);
         prop_assert_eq!(sorted(&r.rows), expect.clone());
         prop_assert_eq!(r.false_positives, 0);
-        // And the legacy surface still silently returns nothing — that
-        // contract belongs to the wrappers alone now.
-        prop_assert!(db.lookup_range(pred, None).rows.is_empty());
         if !expect.is_empty() {
             prop_assert!(!r.rows.is_empty(), "scan fallback must surface the rows");
         }

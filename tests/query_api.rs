@@ -1,13 +1,13 @@
 //! Integration tests for the unified Query API: the cost-based planner,
-//! the stable EXPLAIN format, the seq-scan fallback, and scalar/batched
-//! executor agreement.
+//! the stable EXPLAIN format, the seq-scan fallback, and agreement between
+//! a batch and the same queries run one at a time.
 //!
 //! The EXPLAIN assertions pin the exact `Display` output for all four plan
 //! shapes (hermit route, index range scan, composite box scan, seq scan) —
 //! the format is a public artifact (README, `examples/query_plans.rs`) and
 //! must not drift silently.
 
-use hermit::core::{AccessPath, BatchOptions, Database, PlanKind, Query, RangePredicate};
+use hermit::core::{AccessPath, Database, PlanKind, Query, RangePredicate};
 use hermit::storage::{ColumnDef, RowLoc, Schema, TidScheme, Value};
 
 const TIME: usize = 0;
@@ -130,10 +130,9 @@ fn unindexed_column_scans_instead_of_silent_empty() {
     for scheme in [TidScheme::Physical, TidScheme::Logical] {
         let db = stock_db(scheme, 5_000);
         let pred = RangePredicate::range(VOL, 1_000_000.0, 1_010_000.0);
-        // The legacy surface stays the oracle for its old contract: no
-        // index, no rows.
-        assert!(db.lookup_range(pred, None).rows.is_empty(), "legacy contract preserved");
-        // The Query surface returns the actual rows via the scan plan.
+        // No index on VOL: the Query surface returns the actual rows via
+        // the scan plan.
+        assert_eq!(db.plan(&Query::filter(pred)).kind(), PlanKind::Scan);
         let r = db.execute(&Query::filter(pred));
         let expect = oracle_rows(&db, 5_000, &[pred]);
         assert!(!expect.is_empty(), "fixture must produce matches");
@@ -143,18 +142,23 @@ fn unindexed_column_scans_instead_of_silent_empty() {
 }
 
 #[test]
-fn execute_agrees_with_legacy_wrappers_on_indexed_paths() {
+fn execute_plan_matches_oracle_on_indexed_paths() {
     for scheme in [TidScheme::Physical, TidScheme::Logical] {
         let db = stock_db(scheme, 10_000);
-        for pred in
-            [RangePredicate::range(SP, 700.0, 705.0), RangePredicate::range(DJ, 5_600.0, 5_650.0)]
-        {
-            let legacy = db.lookup_range(pred, None);
+        for (pred, kind) in [
+            (RangePredicate::range(SP, 700.0, 705.0), PlanKind::Hermit),
+            (RangePredicate::range(DJ, 5_600.0, 5_650.0), PlanKind::Baseline),
+        ] {
             let plan = db.plan(&Query::filter(pred));
+            assert_eq!(plan.kind(), kind, "{scheme:?} {pred:?}");
             let via_plan = db.execute_plan(&plan);
-            assert_eq!(sorted(&legacy.rows), sorted(&via_plan.rows), "{scheme:?} {pred:?}");
-            assert_eq!(legacy.false_positives, via_plan.false_positives);
-            assert_eq!(legacy.unresolved, via_plan.unresolved);
+            let expect = oracle_rows(&db, 10_000, &[pred]);
+            assert!(!expect.is_empty(), "fixture must produce matches");
+            assert_eq!(sorted(&via_plan.rows), expect, "{scheme:?} {pred:?}");
+            assert_eq!(via_plan.unresolved, 0, "{scheme:?} {pred:?}");
+            if kind == PlanKind::Baseline {
+                assert_eq!(via_plan.false_positives, 0, "baseline hits are exact");
+            }
         }
     }
 }
@@ -194,15 +198,13 @@ fn execute_batch_matches_execute_across_plan_shapes() {
             Query::new().range(VOL, 1_000_000.0, 1_020_000.0),
             Query::new().range(SP, 9.0e8, 9.1e8), // out of domain
         ];
-        for threads in [1usize, 3] {
-            let batched = db.execute_batch(&queries, &BatchOptions::with_threads(threads));
-            assert_eq!(batched.len(), queries.len());
-            for (q, b) in queries.iter().zip(&batched) {
-                let s = db.execute(q);
-                assert_eq!(sorted(&s.rows), sorted(&b.rows), "{scheme:?} t{threads} {q:?}");
-                assert_eq!(s.false_positives, b.false_positives, "{scheme:?} t{threads} {q:?}");
-                assert_eq!(s.unresolved, b.unresolved, "{scheme:?} t{threads} {q:?}");
-            }
+        let batched = db.execute_batch(&queries);
+        assert_eq!(batched.len(), queries.len());
+        for (q, b) in queries.iter().zip(&batched) {
+            let s = db.execute(q);
+            assert_eq!(s.rows, b.rows, "{scheme:?} {q:?}");
+            assert_eq!(s.false_positives, b.false_positives, "{scheme:?} {q:?}");
+            assert_eq!(s.unresolved, b.unresolved, "{scheme:?} {q:?}");
         }
     }
 }
@@ -220,10 +222,9 @@ fn composite_box_query_matches_oracle() {
         assert_eq!(plan.kind(), PlanKind::Composite, "{scheme:?}");
         let r = db.execute_plan(&plan);
         assert_eq!(sorted(&r.rows), oracle_rows(&db, 20_000, &preds), "{scheme:?}");
-        // Batched path produces the same result through the page-ordered
-        // validator.
-        let b = &db.execute_plans(std::slice::from_ref(&plan), &BatchOptions::default())[0];
-        assert_eq!(sorted(&b.rows), sorted(&r.rows), "{scheme:?}");
+        // A batch produces the same result.
+        let b = &db.execute_batch(std::slice::from_ref(&q))[0];
+        assert_eq!(b.rows, r.rows, "{scheme:?}");
         assert_eq!(b.false_positives, r.false_positives, "{scheme:?}");
     }
 }
@@ -246,8 +247,8 @@ fn composite_baseline_plan_is_exact() {
     let r = db.execute_plan(&plan);
     assert_eq!(sorted(&r.rows), oracle_rows(&db, 20_000, &preds));
     assert_eq!(r.false_positives, 0, "the box scan is exact; nothing to validate away");
-    let b = &db.execute_batch(std::slice::from_ref(&q), &BatchOptions::default())[0];
-    assert_eq!(sorted(&b.rows), sorted(&r.rows));
+    let b = &db.execute_batch(std::slice::from_ref(&q))[0];
+    assert_eq!(b.rows, r.rows);
     assert_eq!(b.false_positives, 0);
 }
 
@@ -303,7 +304,7 @@ fn inverted_and_out_of_domain_queries_are_empty_everywhere() {
     ] {
         let r = db.execute(&q);
         assert!(r.rows.is_empty(), "{q:?}");
-        let b = &db.execute_batch(std::slice::from_ref(&q), &BatchOptions::default())[0];
+        let b = &db.execute_batch(std::slice::from_ref(&q))[0];
         assert!(b.rows.is_empty(), "{q:?} (batched)");
     }
 }

@@ -14,7 +14,7 @@
 //! known and the oracle can be replayed sequentially.
 
 use hermit::core::shared::{MaintenanceConfig, MaintenanceWorker, SharedDatabase};
-use hermit::core::{BatchOptions, Database, Query, QueryResult};
+use hermit::core::{Database, Query, QueryResult};
 use hermit::storage::paged::{BufferPool, PagedTable, SimulatedPageStore};
 use hermit::storage::{ColumnDef, Schema, TidScheme, Value};
 use std::collections::BTreeSet;
@@ -123,10 +123,10 @@ fn run_stress(substrate: Substrate, scheme: TidScheme) {
     let worker = MaintenanceWorker::start(shared.clone(), MaintenanceConfig::default());
     let panel = query_panel(with_composite);
 
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for w in 0..WRITERS {
             let shared = shared.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut deletes = deleted_pks(w);
                 for (i, pk) in inserted_pks(w).enumerate() {
                     shared.insert(&row_for(pk)).unwrap();
@@ -145,7 +145,7 @@ fn run_stress(substrate: Substrate, scheme: TidScheme) {
         for r in 0..READERS {
             let shared = shared.clone();
             let panel = &panel;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in 0..READER_QUERIES {
                     let q = &panel[(i + r) % panel.len()];
                     // Results under churn are a consistent snapshot of each
@@ -154,13 +154,12 @@ fn run_stress(substrate: Substrate, scheme: TidScheme) {
                     // the batched path must stay runnable too.
                     let _ = shared.execute(q);
                     if i % 16 == 0 {
-                        let _ = shared.execute_batch(panel, &BatchOptions::with_threads(2));
+                        let _ = shared.execute_batch(panel);
                     }
                 }
             });
         }
-    })
-    .unwrap();
+    });
 
     // Quiesce: writers joined; give the worker a bounded window to drain
     // whatever is still queued, then stop it.
@@ -184,16 +183,15 @@ fn run_stress(substrate: Substrate, scheme: TidScheme) {
     }
     assert_eq!(shared.db().len(), oracle.len(), "live row counts diverged");
 
-    // Every panel query agrees with the oracle, on both the scalar and the
-    // vectorized executors.
-    let batched = shared.db().execute_batch(&panel, &BatchOptions::with_threads(3));
+    // Every panel query agrees with the oracle, run alone and as a batch.
+    let batched = shared.db().execute_batch(&panel);
     for (i, q) in panel.iter().enumerate() {
         let want = result_pks(&oracle, &oracle.execute(q));
         assert!(!want.is_empty(), "panel query {i} must select something");
-        let got_scalar = result_pks(shared.db(), &shared.execute(q));
-        assert_eq!(got_scalar, want, "scalar executor diverged from oracle on panel query {i}");
+        let got = result_pks(shared.db(), &shared.execute(q));
+        assert_eq!(got, want, "execute diverged from oracle on panel query {i}");
         let got_batched = result_pks(shared.db(), &batched[i]);
-        assert_eq!(got_batched, want, "batched executor diverged from oracle on panel query {i}");
+        assert_eq!(got_batched, want, "execute_batch diverged from oracle on panel query {i}");
     }
 
     // Spot-check membership semantics: deleted seed pks are gone, inserted
@@ -294,8 +292,8 @@ fn churn_with_worker_shrinks_outlier_share() {
         // Regime change under load: vacate [2000, 6000), then refill the
         // region with a different (locally linear) correlation. Every new
         // row is an outlier under the stale model; reorganization refits.
-        crossbeam::thread::scope(|s| {
-            s.spawn(|_| {
+        std::thread::scope(|s| {
+            s.spawn(|| {
                 for pk in 2_000..6_000i64 {
                     shared.delete_by_pk(pk).unwrap();
                 }
@@ -311,8 +309,7 @@ fn churn_with_worker_shrinks_outlier_share() {
                         .unwrap();
                 }
             });
-        })
-        .unwrap();
+        });
         let sweeps = match worker {
             // Joins the thread, so no background pass is still in flight.
             Some(w) => w.stop().0,

@@ -21,7 +21,7 @@
 //!   leaves no trace.
 
 use hermit::core::shared::SharedDatabase;
-use hermit::core::{BatchOptions, CoreError, Database, DurabilityConfig, Query, QueryResult};
+use hermit::core::{CoreError, Database, DurabilityConfig, Query, QueryResult};
 use hermit::storage::paged::{BufferPool, PagedTable, SimulatedPageStore};
 use hermit::storage::{ColumnDef, Schema, StorageError, TidScheme, Value};
 use parking_lot::Mutex;
@@ -81,10 +81,10 @@ fn committed_transactions_publish_atomically_to_readers() {
     let done = AtomicBool::new(false);
     let band_query = Query::new().range(2, BAND, BAND + 100_000.0);
 
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for w in 0..WRITERS {
             let shared = shared.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for j in 0..TXNS_PER_WRITER {
                     let txn = shared.begin().unwrap();
                     let base = (w * TXNS_PER_WRITER + j) * ROWS_PER_TXN;
@@ -113,7 +113,7 @@ fn committed_transactions_publish_atomically_to_readers() {
         for r in 0..2 {
             let shared = shared.clone();
             let (done, band_query) = (&done, &band_query);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut observations = 0u64;
                 while !done.load(Ordering::Relaxed) || observations < 50 {
                     let n = shared.execute(band_query).rows.len() as i64;
@@ -126,14 +126,12 @@ fn committed_transactions_publish_atomically_to_readers() {
                 }
             });
         }
-        // Writer spawns above run to completion when the scope joins; flag
-        // the readers once every writer thread has finished. crossbeam
-        // scopes join in drop order, so emulate "writers done" by spawning
-        // a watcher that begins after the writers were spawned — simplest
-        // correct form: writers signal via a countdown.
+        // Writer spawns above run to completion when the scope joins, but
+        // the readers need a stop signal before that. A watcher flags them
+        // once every transaction has been begun and closed.
         let shared2 = shared.clone();
         let done = &done;
-        s.spawn(move |_| {
+        s.spawn(move || {
             // Wait until every transaction has been begun and closed.
             let expected_begins = (WRITERS * TXNS_PER_WRITER) as u64;
             let deadline = Instant::now() + Duration::from_secs(60);
@@ -147,8 +145,7 @@ fn committed_transactions_publish_atomically_to_readers() {
             }
             done.store(true, Ordering::Relaxed);
         });
-    })
-    .unwrap();
+    });
 
     // Final state: exactly the committed transactions' rows.
     let mut expected = Vec::new();
@@ -161,9 +158,7 @@ fn committed_transactions_publish_atomically_to_readers() {
     expected.sort_unstable();
     let got = result_pks(shared.db(), &shared.execute(&band_query));
     assert_eq!(got, expected, "final band contents diverged from the committed-txn oracle");
-    let batched = &shared
-        .db()
-        .execute_batch(std::slice::from_ref(&band_query), &BatchOptions::with_threads(2))[0];
+    let batched = &shared.db().execute_batch(std::slice::from_ref(&band_query))[0];
     assert_eq!(result_pks(shared.db(), batched), expected, "batched executor diverged");
 
     let c = shared.txn_counters();
@@ -191,11 +186,11 @@ fn contended_read_modify_write_loses_no_updates() {
     // exactly one row per contested pk, whatever the interleaving.
     let span_query = Query::new().range(2, 0.0, REPL_BAND + CONTESTED as f64);
 
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for t in 0..4usize {
             let shared = shared.clone();
             let winners = &winners;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in 0..CONTESTED {
                     let pk = (i + t as i64 * 64) % CONTESTED;
                     let txn = shared.begin().unwrap();
@@ -232,7 +227,7 @@ fn contended_read_modify_write_loses_no_updates() {
         {
             let shared = shared.clone();
             let (done, span_query) = (&done, &span_query);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut observations = 0u64;
                 while !done.load(Ordering::Relaxed) || observations < 50 {
                     let n = shared.execute(span_query).rows.len() as i64;
@@ -247,7 +242,7 @@ fn contended_read_modify_write_loses_no_updates() {
         {
             let shared = shared.clone();
             let done = &done;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let deadline = Instant::now() + Duration::from_secs(60);
                 while shared.txn_counters().commits < CONTESTED as u64 {
                     assert!(Instant::now() < deadline, "stalled: {:?}", shared.txn_counters());
@@ -256,8 +251,7 @@ fn contended_read_modify_write_loses_no_updates() {
                 done.store(true, Ordering::Relaxed);
             });
         }
-    })
-    .unwrap();
+    });
 
     let winners = winners.into_inner();
     assert_eq!(winners.len() as i64, CONTESTED, "every contested pk must be consumed once");
@@ -321,8 +315,8 @@ fn panel_snapshot(db: &Database, panel: &[Query]) -> Vec<Vec<i64>> {
 }
 
 /// Abort must restore the exact pre-transaction state across every index
-/// kind (baseline, Hermit, composite, primary) and the heap — scalar and
-/// batched executors, both substrates.
+/// kind (baseline, Hermit, composite, primary) and the heap — queries run
+/// one at a time and as a batch, both substrates.
 #[test]
 fn abort_restores_exact_state_across_all_index_kinds() {
     for substrate in [Substrate::Mem, Substrate::Paged] {
@@ -365,7 +359,7 @@ fn abort_restores_exact_state_across_all_index_kinds() {
             "{}: abort failed to restore the panel state",
             if with_composite { "mem" } else { "paged" }
         );
-        let batched = db.execute_batch(&panel, &BatchOptions::with_threads(2));
+        let batched = db.execute_batch(&panel);
         for (i, r) in batched.iter().enumerate() {
             assert_eq!(
                 result_pks(&db, r),
