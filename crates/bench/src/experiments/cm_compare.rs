@@ -4,8 +4,10 @@
 
 use crate::harness::{self, measure_ops, Scale};
 use hermit_cm::{CmParams, CorrelationMap};
+use hermit_core::database::TablePairSource;
 use hermit_core::{Database, PlanKind, RangePredicate};
 use hermit_storage::{F64Key, RowLoc, Tid, TidScheme};
+use hermit_trs::PairSource;
 use hermit_workloads::synthetic::cols;
 use hermit_workloads::{build_synthetic, CorrelationKind, QueryGen, SyntheticConfig};
 
@@ -100,16 +102,9 @@ pub fn fig27_30_cm_comparison(scale: Scale) {
 
             // CM variants share the Hermit database's base table & host
             // index; only the translation structure differs.
-            let pairs: Vec<(f64, f64, Tid)> = {
-                let hermit_core::Heap::Mem(table) = hermit.heap() else { unreachable!() };
-                table
-                    .read()
-                    .project_pairs(cols::COL_C, cols::COL_B)
-                    .unwrap()
-                    .into_iter()
-                    .map(|(m, n, loc)| (m, n, Tid::from_loc(loc)))
-                    .collect()
-            };
+            let pairs = TablePairSource { db: &hermit, target: cols::COL_C, host: cols::COL_B }
+                .scan_range(f64::NEG_INFINITY, f64::INFINITY)
+                .expect("in-memory scan");
             let host_domain = {
                 let hermit_core::Heap::Mem(table) = hermit.heap() else { unreachable!() };
                 table.read().stats(cols::COL_B).unwrap().range().unwrap()

@@ -76,8 +76,8 @@ pub fn fig23_reorg_trace(scale: Scale) {
         // Reorganize two first-level subtrees (or queued candidates when
         // the root is still a single leaf).
         if tick >= 2 && tick % 2 == 0 {
-            let did = tree.reorganize_first_level_subtree(subtree, &source)
-                && tree.reorganize_first_level_subtree(subtree + 1, &source);
+            let did = tree.reorganize_first_level_subtree(subtree, &source).expect("vec scan")
+                && tree.reorganize_first_level_subtree(subtree + 1, &source).expect("vec scan");
             if !did {
                 tree.reorganize_batch(&source, 4);
             }

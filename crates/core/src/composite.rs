@@ -19,11 +19,10 @@
 //! the leading predicate is the more selective one.
 
 use crate::breakdown::LookupBreakdown;
-use crate::database::{Database, Heap};
-use crate::executor::{QueryResult, RangePredicate};
+use crate::executor::RangePredicate;
 use hermit_btree::BPlusTree;
-use hermit_storage::{ColumnId, F64Key, StorageError, Tid, TidScheme};
-use hermit_trs::{TrsParams, TrsTree};
+use hermit_storage::{ColumnId, F64Key, Tid};
+use hermit_trs::TrsTree;
 use std::time::Instant;
 
 /// A composite key: (leading column value, second column value), ordered
@@ -71,10 +70,10 @@ impl CompositeIndex {
     }
 }
 
-/// Composite-index registry and executor, layered over [`Database`].
-///
-/// Kept separate from the single-column path so the core executor stays
-/// exactly the paper's Fig. 3 pipeline; a composite database wraps the two.
+/// The composite-index registry a [`Database`](crate::Database) owns: built by
+/// [`Database::create_composite_baseline`](crate::Database::create_composite_baseline) /
+/// [`Database::create_composite_hermit`](crate::Database::create_composite_hermit), maintained on every insert and
+/// delete, and queried through the planner's composite box plans.
 pub struct CompositeIndexes {
     indexes: Vec<CompositeIndex>,
 }
@@ -125,18 +124,6 @@ impl CompositeIndexes {
         })
     }
 
-    /// Build a composite baseline index on `(leading, value)` over the
-    /// current contents of `db`. Returns its registry position.
-    pub fn create_baseline(
-        &mut self,
-        db: &Database,
-        leading: ColumnId,
-        value: ColumnId,
-    ) -> hermit_storage::Result<usize> {
-        let tree = build_composite_tree(db.heap(), db.scheme(), db.pk_col(), leading, value)?;
-        Ok(self.push_baseline(tree, leading, value))
-    }
-
     /// Register a built composite baseline tree; returns its position.
     pub(crate) fn push_baseline(
         &mut self,
@@ -160,35 +147,8 @@ impl CompositeIndexes {
         self.indexes.len() - 1
     }
 
-    /// Build a composite Hermit index on `(leading, target)` routed through
-    /// the host column: requires that a composite baseline on
-    /// `(leading, host)` already exists in this registry (the paper's
-    /// precondition, composite form). Returns its registry position.
-    pub fn create_hermit(
-        &mut self,
-        db: &Database,
-        leading: ColumnId,
-        target: ColumnId,
-        host: ColumnId,
-        params: TrsParams,
-    ) -> hermit_storage::Result<usize> {
-        assert!(
-            self.companion_baseline(leading, host).is_some(),
-            "a composite baseline index on (leading={leading}, host={host}) must exist first"
-        );
-        let trs = build_composite_trs(db.heap(), db.scheme(), db.pk_col(), target, host, params)?;
-        Ok(self.push_hermit(trs, leading, target, host))
-    }
-
-    /// Maintain all composite indexes for a newly-inserted row.
-    pub fn insert_row(&mut self, db: &Database, row: &[hermit_storage::Value], tid: Tid) {
-        let _ = db;
-        self.maintain_insert(row, tid);
-    }
-
-    /// Maintain all composite indexes for a newly-inserted row (the
-    /// database-agnostic core of [`insert_row`](Self::insert_row); called
-    /// by [`Database::insert_timed`] for the registry the database owns).
+    /// Maintain all composite indexes for a newly-inserted row (called by
+    /// [`Database::insert_timed`](crate::Database::insert_timed) for the registry the database owns).
     pub fn maintain_insert(&mut self, row: &[hermit_storage::Value], tid: Tid) {
         for index in &mut self.indexes {
             match index {
@@ -209,7 +169,7 @@ impl CompositeIndexes {
     /// Maintain all composite indexes for a row being deleted: exact key
     /// removal on baselines, TRS-Tree tombstoning on Hermit indexes (the
     /// same contract as the single-column indexes in
-    /// [`Database::delete_by_pk`]).
+    /// [`Database::delete_by_pk`](crate::Database::delete_by_pk)).
     pub fn maintain_delete(&mut self, row: &[hermit_storage::Value], tid: Tid) {
         for index in &mut self.indexes {
             match index {
@@ -235,8 +195,9 @@ impl CompositeIndexes {
     ///
     /// Returns `false` when `idx` does not exist or a Hermit index's
     /// companion baseline is missing — the caller treats that as an empty
-    /// candidate set. The query pipeline ([`Database::execute_plan`])
-    /// takes this path for both composite plan kinds.
+    /// candidate set. The query pipeline ([`Database::execute_plan`](crate::Database::execute_plan))
+    /// takes this path for both composite plan kinds, then resolves and
+    /// validates the candidates like any other plan.
     pub(crate) fn gather_box_candidates(
         &self,
         idx: usize,
@@ -283,37 +244,6 @@ impl CompositeIndexes {
         true
     }
 
-    /// Execute a box query — `leading ∈ [l.lb, l.ub] AND value ∈ [v.lb,
-    /// v.ub]` — against the composite index at `idx`.
-    ///
-    /// The baseline path answers from the composite tree directly; the
-    /// Hermit path translates the value predicate through the TRS-Tree,
-    /// probes the companion `(leading, host)` baseline with the box, and
-    /// validates at the base table (the three-phase pipeline in composite
-    /// form).
-    pub fn lookup_box(
-        &self,
-        db: &Database,
-        idx: usize,
-        leading_pred: RangePredicate,
-        value_pred: RangePredicate,
-    ) -> QueryResult {
-        let mut result = QueryResult::default();
-        let mut candidates: Vec<Tid> = Vec::new();
-        if !self.gather_box_candidates(
-            idx,
-            leading_pred,
-            value_pred,
-            &mut result.breakdown,
-            &mut candidates,
-        ) {
-            return result;
-        }
-        let validate_value = self.indexes.get(idx).map(CompositeIndex::is_hermit).unwrap_or(false);
-        finish(db, candidates, value_pred, Some(leading_pred), validate_value, &mut result);
-        result
-    }
-
     /// Total heap bytes across all composite indexes.
     pub fn memory_bytes(&self) -> usize {
         self.indexes.iter().map(|i| i.memory_bytes()).sum()
@@ -337,144 +267,18 @@ fn scan_box(
     });
 }
 
-/// Shared tail: resolve tids and validate both predicates at the base
-/// table. Mirrors the single-column executor's phases 3–4.
-fn finish(
-    db: &Database,
-    candidates: Vec<Tid>,
-    value_pred: RangePredicate,
-    leading_pred: Option<RangePredicate>,
-    validate_value: bool,
-    result: &mut QueryResult,
-) {
-    let locs: Vec<hermit_storage::RowLoc> = match db.scheme() {
-        TidScheme::Physical => candidates.into_iter().map(|t| t.as_loc()).collect(),
-        TidScheme::Logical => {
-            let t = Instant::now();
-            let primary = db.primary();
-            let locs = candidates
-                .into_iter()
-                .filter_map(|tid| {
-                    let loc = primary.get(tid.as_pk());
-                    if loc.is_none() {
-                        result.unresolved += 1;
-                    }
-                    loc
-                })
-                .collect();
-            result.breakdown.primary_index += t.elapsed();
-            locs
-        }
-    };
-    let t = Instant::now();
-    for loc in locs {
-        let value_ok = if validate_value {
-            match db.heap().value_f64(loc, value_pred.column) {
-                Ok(v) => value_pred.matches(v),
-                Err(_) => {
-                    result.unresolved += 1;
-                    continue;
-                }
-            }
-        } else {
-            true
-        };
-        let leading_ok = leading_pred.is_none_or(|p| {
-            db.heap().value_f64(loc, p.column).map(|v| p.matches(v)).unwrap_or(false)
-        });
-        if value_ok && leading_ok {
-            result.rows.push(loc);
-        } else {
-            result.false_positives += 1;
-        }
-    }
-    result.breakdown.base_table += t.elapsed();
-}
-
-/// Bulk-load a composite `(leading, value)` B+-tree from a heap. Shared by
-/// the standalone registry's [`CompositeIndexes::create_baseline`] and the
-/// database-owned [`Database::create_composite_baseline`].
-pub(crate) fn build_composite_tree(
-    heap: &Heap,
-    scheme: TidScheme,
-    pk_col: ColumnId,
-    leading: ColumnId,
-    value: ColumnId,
-) -> hermit_storage::Result<BPlusTree<CompositeKey, Tid>> {
-    let mut entries: Vec<(CompositeKey, Tid)> = Vec::with_capacity(heap.len());
-    for_each_heap_pair(heap, scheme, pk_col, leading, value, |lead, val, tid| {
-        entries.push(((F64Key(lead), F64Key(val)), tid));
-    })?;
-    entries.sort_by_key(|e| e.0);
-    Ok(BPlusTree::bulk_load(entries))
-}
-
-/// Build the TRS-Tree of a composite Hermit index over `target → host`
-/// pairs (the leading column plays no role in the correlation itself).
-/// Shared by [`CompositeIndexes::create_hermit`] and
-/// [`Database::create_composite_hermit`].
-pub(crate) fn build_composite_trs(
-    heap: &Heap,
-    scheme: TidScheme,
-    pk_col: ColumnId,
-    target: ColumnId,
-    host: ColumnId,
-    params: TrsParams,
-) -> hermit_storage::Result<TrsTree> {
-    let mut pairs: Vec<(f64, f64, Tid)> = Vec::with_capacity(heap.len());
-    let mut lo = f64::INFINITY;
-    let mut hi = f64::NEG_INFINITY;
-    for_each_heap_pair(heap, scheme, pk_col, target, host, |t, h, tid| {
-        lo = lo.min(t);
-        hi = hi.max(t);
-        pairs.push((t, h, tid));
-    })?;
-    if pairs.is_empty() {
-        lo = 0.0;
-        hi = 0.0;
-    }
-    Ok(TrsTree::build(params, (lo, hi), pairs))
-}
-
-/// Visit `(a, b, tid)` for every live row, skipping NULLs. Split out at
-/// heap level so [`Database`]-owned composite creation can run while the
-/// database is mutably borrowed.
-pub(crate) fn for_each_heap_pair(
-    heap: &Heap,
-    scheme: TidScheme,
-    pk_col: ColumnId,
-    a: ColumnId,
-    b: ColumnId,
-    mut f: impl FnMut(f64, f64, Tid),
-) -> hermit_storage::Result<()> {
-    match heap {
-        Heap::Mem(table) => {
-            let table = table.read();
-            let ca = table.column(a)?;
-            let cb = table.column(b)?;
-            let cpk = table.column(pk_col)?;
-            for loc in table.scan() {
-                let i = loc.index();
-                if let (Some(x), Some(y)) = (ca.get_f64(i), cb.get_f64(i)) {
-                    let tid = match scheme {
-                        TidScheme::Physical => Tid::from_loc(loc),
-                        TidScheme::Logical => Tid::from_pk(cpk.get_f64(i).unwrap_or(0.0) as i64),
-                    };
-                    f(x, y, tid);
-                }
-            }
-            Ok(())
-        }
-        Heap::Paged(_) => Err(StorageError::Io(
-            "composite indexes are implemented for the in-memory substrate".into(),
-        )),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hermit_storage::{ColumnDef, Schema, Value};
+    use crate::database::Database;
+    use crate::error::CoreError;
+    use crate::plan::PlanKind;
+    use crate::query::Query;
+    use hermit_storage::{ColumnDef, RowLoc, Schema, TidScheme, Value};
+
+    const TIME: ColumnId = 0;
+    const DJ: ColumnId = 1;
+    const SP: ColumnId = 2;
 
     /// Stock-like table: time (pk), dj (host), sp (target, ≈ dj/8).
     fn stock_db(scheme: TidScheme, n: usize) -> Database {
@@ -483,7 +287,7 @@ mod tests {
             ColumnDef::float("dj"),
             ColumnDef::float("sp"),
         ]);
-        let db = Database::new(schema, 0, scheme);
+        let db = Database::new(schema, TIME, scheme);
         for t in 0..n {
             // Slow upward drift with deterministic wiggle.
             let dj = 3_000.0 + t as f64 * 0.5 + ((t % 97) as f64 - 48.0);
@@ -493,45 +297,55 @@ mod tests {
         db
     }
 
-    fn ground_truth(db: &Database, tl: f64, tu: f64, sl: f64, su: f64) -> usize {
-        let Heap::Mem(table) = db.heap() else { unreachable!() };
-        let table = table.read();
-        let time = table.column(0).unwrap();
-        let sp = table.column(2).unwrap();
-        table
-            .scan()
-            .filter(|loc| {
-                let i = loc.index();
-                time.get_f64(i).is_some_and(|t| t >= tl && t <= tu)
-                    && sp.get_f64(i).is_some_and(|s| s >= sl && s <= su)
+    /// The composite box query `time ∈ [tl, tu] AND sp ∈ [sl, su]`.
+    fn box_query(tl: f64, tu: f64, sl: f64, su: f64) -> Query {
+        Query::new().range(TIME, tl, tu).range(SP, sl, su)
+    }
+
+    /// Run `q`, asserting the planner picked a composite box scan, and
+    /// return its rows sorted.
+    fn run_composite(db: &Database, q: &Query) -> Vec<RowLoc> {
+        let plan = db.plan(q);
+        assert_eq!(plan.kind(), PlanKind::Composite, "{plan}");
+        let mut rows = db.execute_plan(&plan).rows;
+        rows.sort_unstable();
+        rows
+    }
+
+    /// Seq-scan oracle: every live row matching all of `q`'s conjuncts.
+    fn scan_oracle(db: &Database, q: &Query) -> Vec<RowLoc> {
+        let mut rows = Vec::new();
+        db.heap()
+            .for_each_live_row(|loc, row| {
+                if q.conjuncts().iter().all(|p| p.matches(row.f64(p.column))) {
+                    rows.push(loc);
+                }
+                true
             })
-            .count()
+            .unwrap();
+        rows.sort_unstable();
+        rows
     }
 
     #[test]
     fn composite_baseline_box_query_exact() {
-        let db = stock_db(TidScheme::Physical, 20_000);
-        let mut comp = CompositeIndexes::new();
-        let idx = comp.create_baseline(&db, 0, 2).unwrap();
-        let r = comp.lookup_box(
-            &db,
-            idx,
-            RangePredicate::range(0, 5_000.0, 10_000.0),
-            RangePredicate::range(2, 700.0, 800.0),
-        );
-        assert_eq!(r.rows.len(), ground_truth(&db, 5_000.0, 10_000.0, 700.0, 800.0));
-        assert!(r.rows.len() > 100, "box should be non-trivial: {}", r.rows.len());
+        let mut db = stock_db(TidScheme::Physical, 20_000);
+        db.create_composite_baseline(TIME, SP).unwrap();
+        let q = box_query(5_000.0, 10_000.0, 700.0, 800.0);
+        let rows = run_composite(&db, &q);
+        assert_eq!(rows, scan_oracle(&db, &q));
+        assert!(rows.len() > 100, "box should be non-trivial: {}", rows.len());
     }
 
     #[test]
     fn composite_hermit_matches_composite_baseline() {
         for scheme in [TidScheme::Physical, TidScheme::Logical] {
-            let db = stock_db(scheme, 20_000);
-            let mut comp = CompositeIndexes::new();
-            // Host: (time, dj). Direct: (time, sp). Hermit: sp → dj via host.
-            comp.create_baseline(&db, 0, 1).unwrap();
-            let direct = comp.create_baseline(&db, 0, 2).unwrap();
-            let hermit = comp.create_hermit(&db, 0, 2, 1, TrsParams::default()).unwrap();
+            // Direct: (time, sp). Hermit: sp → dj via the (time, dj) host.
+            let mut direct = stock_db(scheme, 20_000);
+            direct.create_composite_baseline(TIME, SP).unwrap();
+            let mut hermit = stock_db(scheme, 20_000);
+            hermit.create_composite_baseline(TIME, DJ).unwrap();
+            hermit.create_composite_hermit(TIME, SP, DJ).unwrap();
 
             for (tl, tu, sl, su) in [
                 (1_000.0, 4_000.0, 500.0, 600.0),
@@ -539,36 +353,22 @@ mod tests {
                 (15_000.0, 16_000.0, 0.0, 10_000.0),
                 (7.0, 7.0, 0.0, 10_000.0),
             ] {
-                let a = comp.lookup_box(
-                    &db,
-                    direct,
-                    RangePredicate::range(0, tl, tu),
-                    RangePredicate::range(2, sl, su),
-                );
-                let b = comp.lookup_box(
-                    &db,
-                    hermit,
-                    RangePredicate::range(0, tl, tu),
-                    RangePredicate::range(2, sl, su),
-                );
-                let mut ra = a.rows.clone();
-                let mut rb = b.rows.clone();
-                ra.sort();
-                rb.sort();
-                assert_eq!(ra, rb, "{scheme:?} box ([{tl},{tu}] × [{sl},{su}])");
+                let q = box_query(tl, tu, sl, su);
+                let want = scan_oracle(&direct, &q);
+                assert_eq!(run_composite(&direct, &q), want, "{scheme:?} direct {q:?}");
+                assert_eq!(run_composite(&hermit, &q), want, "{scheme:?} hermit {q:?}");
             }
         }
     }
 
     #[test]
     fn composite_hermit_is_succinct() {
-        let db = stock_db(TidScheme::Physical, 20_000);
-        let mut comp = CompositeIndexes::new();
-        comp.create_baseline(&db, 0, 1).unwrap();
-        let direct = comp.create_baseline(&db, 0, 2).unwrap();
-        let hermit = comp.create_hermit(&db, 0, 2, 1, TrsParams::default()).unwrap();
-        let direct_bytes = comp.get(direct).unwrap().memory_bytes();
-        let hermit_bytes = comp.get(hermit).unwrap().memory_bytes();
+        let mut db = stock_db(TidScheme::Physical, 20_000);
+        db.create_composite_baseline(TIME, DJ).unwrap();
+        let direct = db.create_composite_baseline(TIME, SP).unwrap();
+        let hermit = db.create_composite_hermit(TIME, SP, DJ).unwrap();
+        let direct_bytes = db.composites().get(direct).unwrap().memory_bytes();
+        let hermit_bytes = db.composites().get(hermit).unwrap().memory_bytes();
         assert!(
             hermit_bytes * 5 < direct_bytes,
             "composite TRS-Tree ({hermit_bytes}) must be ≪ composite B+-tree ({direct_bytes})"
@@ -577,31 +377,26 @@ mod tests {
 
     #[test]
     fn composite_insert_maintenance() {
-        let db = stock_db(TidScheme::Physical, 5_000);
-        let mut comp = CompositeIndexes::new();
-        comp.create_baseline(&db, 0, 1).unwrap();
-        let hermit = comp.create_hermit(&db, 0, 2, 1, TrsParams::default()).unwrap();
-        // Insert a fresh row with an off-model sp (outlier).
-        let row = vec![Value::Int(5_000), Value::Float(6_000.0), Value::Float(123_456.0)];
-        let tid = db.insert(&row).unwrap();
-        comp.insert_row(&db, &row, tid);
-        let r = comp.lookup_box(
-            &db,
-            hermit,
-            RangePredicate::range(0, 4_999.0, 5_001.0),
-            RangePredicate::range(2, 123_000.0, 124_000.0),
-        );
-        assert_eq!(r.rows.len(), 1, "outlier insert must be reachable through the box path");
+        let mut db = stock_db(TidScheme::Physical, 5_000);
+        db.create_composite_baseline(TIME, DJ).unwrap();
+        db.create_composite_hermit(TIME, SP, DJ).unwrap();
+        // Insert a fresh row with an off-model sp (outlier); the database
+        // maintains its composite indexes.
+        db.insert(&[Value::Int(5_000), Value::Float(6_000.0), Value::Float(123_456.0)]).unwrap();
+        let q = box_query(4_999.0, 5_001.0, 123_000.0, 124_000.0);
+        let rows = run_composite(&db, &q);
+        assert_eq!(rows.len(), 1, "outlier insert must be reachable through the box path");
+        assert_eq!(rows, scan_oracle(&db, &q));
     }
 
     #[test]
     fn hermit_requires_matching_host() {
-        let db = stock_db(TidScheme::Physical, 100);
-        let mut comp = CompositeIndexes::new();
-        // No composite baseline on (0, 1) yet → must panic.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            comp.create_hermit(&db, 0, 2, 1, TrsParams::default()).unwrap();
-        }));
-        assert!(result.is_err());
+        let mut db = stock_db(TidScheme::Physical, 100);
+        // No composite baseline on (time, dj) yet → typed error.
+        assert_eq!(
+            db.create_composite_hermit(TIME, SP, DJ),
+            Err(CoreError::MissingCompositeHost { leading: TIME, host: DJ })
+        );
+        assert!(db.composites().is_empty());
     }
 }

@@ -39,7 +39,7 @@
 //! every per-query lookup latch-free. Build the schema first, then share.
 
 use crate::breakdown::InsertBreakdown;
-use crate::composite::{build_composite_tree, build_composite_trs, CompositeIndexes};
+use crate::composite::{CompositeIndexes, CompositeKey};
 use crate::correlation::{discover_correlations, DiscoveryConfig};
 use crate::error::CoreError;
 use crate::index::SecondaryIndex;
@@ -152,25 +152,23 @@ impl Heap {
     }
 
     /// Stream every live row through a `RowRef` visitor; the visitor
-    /// returns `false` to stop early. Page-sequential on the paged
-    /// substrate (one pool access per page); on the in-memory substrate the
-    /// read latch is held for the duration of the scan (writers wait, other
-    /// readers proceed). This is the seq-scan access path of the planner.
-    pub fn for_each_live_row(&self, f: impl FnMut(RowLoc, RowRef<'_>) -> bool) -> bool {
-        match self {
-            Heap::Mem(t) => t.read().for_each_live_row(f),
-            Heap::Paged(t) => t.for_each_live_row(f),
-        }
-    }
-
-    fn project_pairs(
+    /// returns `false` to stop early, and `Ok(false)` reports that it did.
+    /// Page-sequential on the paged substrate (one pool access per page);
+    /// on the in-memory substrate the read latch is held for the duration
+    /// of the scan (writers wait, other readers proceed). This is the
+    /// seq-scan access path of the planner and the one base-table read of
+    /// every index build.
+    ///
+    /// Unreadable pages are skipped and the first page-read error is
+    /// returned after the scan; see
+    /// [`PagedTable::for_each_live_row`] for who ignores it.
+    pub fn for_each_live_row(
         &self,
-        target: ColumnId,
-        host: ColumnId,
-    ) -> hermit_storage::Result<Vec<(f64, f64, RowLoc)>> {
+        f: impl FnMut(RowLoc, RowRef<'_>) -> bool,
+    ) -> hermit_storage::Result<bool> {
         match self {
-            Heap::Mem(t) => t.read().project_pairs(target, host),
-            Heap::Paged(t) => t.project_pairs(target, host),
+            Heap::Mem(t) => Ok(t.read().for_each_live_row(f)),
+            Heap::Paged(t) => t.for_each_live_row(f),
         }
     }
 
@@ -329,8 +327,9 @@ impl Database {
         self.primary.read()
     }
 
-    /// Build the tid for a newly inserted row.
-    fn make_tid(&self, pk: i64, loc: RowLoc) -> Tid {
+    /// The tid rule: a row's physical location, or its primary key under
+    /// logical pointers.
+    pub(crate) fn make_tid(&self, pk: i64, loc: RowLoc) -> Tid {
         match self.scheme {
             TidScheme::Logical => Tid::from_pk(pk),
             TidScheme::Physical => Tid::from_loc(loc),
@@ -503,6 +502,25 @@ impl Database {
         Ok(row)
     }
 
+    /// Visit every live row with its tid: the one base-table read behind
+    /// index builds and reorganization rescans. `cols` are the columns `f`
+    /// reads; each must exist. Fails with the first page-read error.
+    pub(crate) fn for_each_row_tid(
+        &self,
+        cols: &[ColumnId],
+        mut f: impl FnMut(Tid, RowRef<'_>),
+    ) -> hermit_storage::Result<()> {
+        let schema = self.heap.schema();
+        for &col in cols {
+            schema.column(col)?;
+        }
+        self.heap.for_each_live_row(|loc, row| {
+            f(self.make_tid(row.value(self.pk_col).as_i64().unwrap_or(0), loc), row);
+            true
+        })?;
+        Ok(())
+    }
+
     /// Create a complete baseline B+-tree index on `col`, bulk-loaded from
     /// the current table contents. `existing` marks it as a pre-existing
     /// index for breakdown accounting (host indexes, primary-adjacent
@@ -514,28 +532,11 @@ impl Database {
     ) -> hermit_storage::Result<()> {
         // Bulk load: project (key, tid) sorted by key.
         let mut entries: Vec<(F64Key, Tid)> = Vec::with_capacity(self.heap.len());
-        match &self.heap {
-            Heap::Mem(t) => {
-                let t = t.read();
-                let keys = t.column(col)?;
-                let pks = t.column(self.pk_col)?;
-                for loc in t.scan() {
-                    let idx = loc.index();
-                    if let Some(k) = keys.get_f64(idx) {
-                        let pk = pks.get_f64(idx).unwrap_or(0.0) as i64;
-                        entries.push((F64Key(k), self.make_tid(pk, loc)));
-                    }
-                }
+        self.for_each_row_tid(&[col], |tid, row| {
+            if let Some(k) = row.f64(col) {
+                entries.push((F64Key(k), tid));
             }
-            Heap::Paged(t) => {
-                for (loc, row) in t.scan()? {
-                    if let Some(k) = row[col].as_f64() {
-                        let pk = row[self.pk_col].as_i64().unwrap_or(0);
-                        entries.push((F64Key(k), self.make_tid(pk, loc)));
-                    }
-                }
-            }
-        }
+        })?;
         entries.sort_by_key(|a| a.0);
         let tree = BPlusTree::bulk_load(entries);
         self.secondary.insert(col, SecondaryIndex::baseline(tree));
@@ -565,13 +566,7 @@ impl Database {
         target: ColumnId,
         host: ColumnId,
     ) -> Result<(), CoreError> {
-        self.require_host_index(target, host)?;
-        let pairs = self.project_tid_pairs(target, host)?;
-        let range = self.heap.stats(target)?.range().unwrap_or((0.0, 0.0));
-        let trs = TrsTree::build(self.trs_params, range, pairs);
-        self.secondary
-            .insert(target, SecondaryIndex::Hermit { trs: ConcurrentTrsTree::new(trs), host });
-        Ok(())
+        self.create_hermit_index_parallel(target, host, 1)
     }
 
     /// Multi-threaded variant of [`create_hermit_index`](Self::create_hermit_index) (Appendix D.2 /
@@ -583,12 +578,35 @@ impl Database {
         threads: usize,
     ) -> Result<(), CoreError> {
         self.require_host_index(target, host)?;
-        let pairs = self.project_tid_pairs(target, host)?;
-        let range = self.heap.stats(target)?.range().unwrap_or((0.0, 0.0));
-        let trs = hermit_trs::build_parallel(self.trs_params, range, pairs, threads);
+        let trs = self.build_trs(target, host, threads)?;
         self.secondary
             .insert(target, SecondaryIndex::Hermit { trs: ConcurrentTrsTree::new(trs), host });
         Ok(())
+    }
+
+    /// Build a TRS-Tree on `target → host` from the whole base table over
+    /// the target column's value range (`threads == 1` is the serial
+    /// build).
+    fn build_trs(
+        &self,
+        target: ColumnId,
+        host: ColumnId,
+        threads: usize,
+    ) -> hermit_storage::Result<TrsTree> {
+        let pairs = TablePairSource { db: self, target, host }
+            .scan_range(f64::NEG_INFINITY, f64::INFINITY)?;
+        let range = self.heap.stats(target)?.range().unwrap_or((0.0, 0.0));
+        Ok(hermit_trs::build_parallel(self.trs_params, range, pairs, threads))
+    }
+
+    /// Composite indexes are maintained on the in-memory substrate only.
+    fn require_mem_heap(&self) -> hermit_storage::Result<()> {
+        match self.heap {
+            Heap::Mem(_) => Ok(()),
+            Heap::Paged(_) => Err(StorageError::Io(
+                "composite indexes are implemented for the in-memory substrate".into(),
+            )),
+        }
     }
 
     /// Create a composite baseline B+-tree on `(leading, value)`,
@@ -600,7 +618,15 @@ impl Database {
         leading: ColumnId,
         value: ColumnId,
     ) -> Result<usize, CoreError> {
-        let tree = build_composite_tree(&self.heap, self.scheme, self.pk_col, leading, value)?;
+        self.require_mem_heap()?;
+        let mut entries: Vec<(CompositeKey, Tid)> = Vec::with_capacity(self.heap.len());
+        self.for_each_row_tid(&[leading, value], |tid, row| {
+            if let (Some(l), Some(v)) = (row.f64(leading), row.f64(value)) {
+                entries.push(((F64Key(l), F64Key(v)), tid));
+            }
+        })?;
+        entries.sort_by_key(|e| e.0);
+        let tree = BPlusTree::bulk_load(entries);
         Ok(self.composites.get_mut().push_baseline(tree, leading, value))
     }
 
@@ -615,17 +641,11 @@ impl Database {
         target: ColumnId,
         host: ColumnId,
     ) -> Result<usize, CoreError> {
+        self.require_mem_heap()?;
         if self.composites.read().companion_baseline(leading, host).is_none() {
             return Err(CoreError::MissingCompositeHost { leading, host });
         }
-        let trs = build_composite_trs(
-            &self.heap,
-            self.scheme,
-            self.pk_col,
-            target,
-            host,
-            self.trs_params,
-        )?;
+        let trs = self.build_trs(target, host, 1)?;
         Ok(self.composites.get_mut().push_hermit(trs, leading, target, host))
     }
 
@@ -652,30 +672,6 @@ impl Database {
         } else {
             self.create_baseline_index(target, false)?;
             Ok(false)
-        }
-    }
-
-    /// Project `(target, host, tid)` pairs for TRS-Tree construction,
-    /// converting row locations to the database's tid scheme.
-    fn project_tid_pairs(
-        &self,
-        target: ColumnId,
-        host: ColumnId,
-    ) -> hermit_storage::Result<Vec<(f64, f64, Tid)>> {
-        let raw = self.heap.project_pairs(target, host)?;
-        match self.scheme {
-            TidScheme::Physical => {
-                Ok(raw.into_iter().map(|(m, n, loc)| (m, n, Tid::from_loc(loc))).collect())
-            }
-            TidScheme::Logical => {
-                // Need the pk per row; fetch through the heap.
-                let mut out = Vec::with_capacity(raw.len());
-                for (m, n, loc) in raw {
-                    let pk = self.heap.value_f64(loc, self.pk_col)?.unwrap_or(0.0) as i64;
-                    out.push((m, n, Tid::from_pk(pk)));
-                }
-                Ok(out)
-            }
         }
     }
 
@@ -721,8 +717,15 @@ impl Database {
     }
 }
 
-/// [`PairSource`] adapter so TRS-Tree reorganization can re-scan a
-/// database's base table for a (target, host) pair.
+/// The database's base table as a [`PairSource`]: the one
+/// `(target, host, tid)` projection behind every TRS-Tree build and
+/// reorganization rescan.
+///
+/// Over `(-∞, ∞)` this is the `ProjectTable` step of Algorithm 1: it
+/// materializes the temporary (target, host, tid) table that TRS-Tree
+/// construction consumes. Reorganization (§4.4) re-scans only the affected
+/// target range. Rows with a NULL on either side are skipped, and tids
+/// follow the database's [`TidScheme`].
 pub struct TablePairSource<'a> {
     /// The database to scan.
     pub db: &'a Database,
@@ -733,32 +736,16 @@ pub struct TablePairSource<'a> {
 }
 
 impl PairSource for TablePairSource<'_> {
-    fn scan_range(&self, lb: f64, ub: f64) -> Vec<(f64, f64, Tid)> {
-        let raw = match &self.db.heap {
-            Heap::Mem(t) => {
-                t.read().project_pairs_in_range(self.target, self.host, lb, ub).unwrap_or_default()
+    fn scan_range(&self, lb: f64, ub: f64) -> hermit_storage::Result<Vec<(f64, f64, Tid)>> {
+        let mut pairs = Vec::new();
+        self.db.for_each_row_tid(&[self.target, self.host], |tid, row| {
+            if let (Some(m), Some(n)) = (row.f64(self.target), row.f64(self.host)) {
+                if m >= lb && m <= ub {
+                    pairs.push((m, n, tid));
+                }
             }
-            Heap::Paged(t) => t
-                .project_pairs(self.target, self.host)
-                .unwrap_or_default()
-                .into_iter()
-                .filter(|(m, _, _)| *m >= lb && *m <= ub)
-                .collect(),
-        };
-        match self.db.scheme {
-            TidScheme::Physical => {
-                raw.into_iter().map(|(m, n, loc)| (m, n, Tid::from_loc(loc))).collect()
-            }
-            TidScheme::Logical => raw
-                .into_iter()
-                .map(|(m, n, loc)| {
-                    let pk =
-                        self.db.heap.value_f64(loc, self.db.pk_col).ok().flatten().unwrap_or(0.0)
-                            as i64;
-                    (m, n, Tid::from_pk(pk))
-                })
-                .collect(),
-        }
+        })?;
+        Ok(pairs)
     }
 }
 
@@ -908,8 +895,89 @@ mod tests {
     fn table_pair_source_scans_ranges() {
         let db = populated(TidScheme::Physical, 1_000);
         let src = TablePairSource { db: &db, target: 2, host: 1 };
-        let pairs = src.scan_range(100.0, 110.0);
+        let pairs = src.scan_range(100.0, 110.0).unwrap();
         assert_eq!(pairs.len(), 11);
         assert!(pairs.iter().all(|(m, n, _)| *n == 2.0 * *m));
+    }
+
+    /// `(pk, host, target)` with a nullable host.
+    fn nullable_schema() -> Schema {
+        Schema::new(vec![
+            ColumnDef::int("pk"),
+            ColumnDef::float_null("host"),
+            ColumnDef::float("target"),
+        ])
+    }
+
+    fn paged_db(schema: Schema) -> Database {
+        use hermit_storage::paged::{BufferPool, SimulatedPageStore};
+        let pool =
+            std::sync::Arc::new(BufferPool::new(std::sync::Arc::new(SimulatedPageStore::new()), 8));
+        Database::new_paged(PagedTable::new(schema, pool), 0)
+    }
+
+    fn row(pk: i64, host: Option<f64>, target: f64) -> [Value; 3] {
+        [Value::Int(pk), host.map_or(Value::Null, Value::Float), Value::Float(target)]
+    }
+
+    #[test]
+    fn scan_range_skips_nulls_and_deleted() {
+        for db in
+            [Database::new(nullable_schema(), 0, TidScheme::Logical), paged_db(nullable_schema())]
+        {
+            db.insert(&row(1, Some(10.0), 1.0)).unwrap();
+            db.insert(&row(2, None, 2.0)).unwrap(); // NULL host → skipped
+            db.insert(&row(3, Some(30.0), 3.0)).unwrap();
+            db.insert(&row(4, Some(40.0), 4.0)).unwrap();
+            db.delete_by_pk(3).unwrap(); // deleted → skipped
+            let src = TablePairSource { db: &db, target: 2, host: 1 };
+            let pairs = src.scan_range(f64::NEG_INFINITY, f64::INFINITY).unwrap();
+            let got: Vec<(f64, f64)> = pairs.iter().map(|(m, n, _)| (*m, *n)).collect();
+            assert_eq!(got, vec![(1.0, 10.0), (4.0, 40.0)]);
+            // Every tid resolves back to its own row.
+            for (m, _, tid) in pairs {
+                let loc = db.resolve(tid).expect("tid resolves");
+                assert_eq!(db.heap().value_f64(loc, 2).unwrap(), Some(m));
+            }
+        }
+    }
+
+    #[test]
+    fn scan_range_bounds_are_inclusive() {
+        for db in
+            [Database::new(nullable_schema(), 0, TidScheme::Physical), paged_db(nullable_schema())]
+        {
+            for i in 0..10 {
+                db.insert(&row(i, Some(i as f64 * 2.0), i as f64)).unwrap();
+            }
+            let src = TablePairSource { db: &db, target: 2, host: 1 };
+            let targets: Vec<f64> = src.scan_range(3.0, 6.0).unwrap().iter().map(|p| p.0).collect();
+            assert_eq!(targets, vec![3.0, 4.0, 5.0, 6.0]);
+            assert!(src.scan_range(6.5, 6.9).unwrap().is_empty());
+        }
+    }
+
+    #[test]
+    fn scan_range_rejects_unknown_columns() {
+        let db = populated(TidScheme::Physical, 10);
+        let src = TablePairSource { db: &db, target: 9, host: 1 };
+        assert!(src.scan_range(f64::NEG_INFINITY, f64::INFINITY).is_err());
+        let mut db = db;
+        assert!(db.create_baseline_index(9, false).is_err());
+    }
+
+    #[test]
+    fn composite_indexes_refuse_paged_heap() {
+        let mut db = paged_db(schema());
+        for i in 0..100 {
+            db.insert(&[Value::Int(i), Value::Float(2.0 * i as f64), Value::Float(i as f64)])
+                .unwrap();
+        }
+        let refusal = CoreError::Storage(StorageError::Io(
+            "composite indexes are implemented for the in-memory substrate".into(),
+        ));
+        assert_eq!(db.create_composite_baseline(0, 1), Err(refusal.clone()));
+        assert_eq!(db.create_composite_hermit(0, 2, 1), Err(refusal));
+        assert!(db.composites().is_empty());
     }
 }

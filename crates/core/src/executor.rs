@@ -192,7 +192,8 @@ impl Database {
         let pk_col = self.pk_col();
         let rows = &mut result.rows;
         if limit > 0 {
-            self.heap().for_each_live_row(|loc, row| {
+            // Unreadable pages are skipped, as everywhere on the read path.
+            let _ = self.heap().for_each_live_row(|loc, row| {
                 if filtering && row.value(pk_col).as_i64().is_some_and(|pk| !view.visible_pk(pk)) {
                     return true; // invisible to this snapshot; keep scanning
                 }

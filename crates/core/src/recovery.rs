@@ -83,7 +83,7 @@ use hermit_btree::{BPlusTree, HashPrimaryIndex};
 use hermit_storage::paged::{BufferPool, FilePageStore, PageStore, PagedTable};
 use hermit_storage::recovery::{write_file_atomic, BaselineDef, Catalog, HermitDef, PageEntry};
 use hermit_storage::wal::{read_wal, WalRecord, WalWriter};
-use hermit_storage::{ColumnId, F64Key, RowLoc, Schema, StorageError, Tid, TidScheme, Value};
+use hermit_storage::{ColumnId, F64Key, RowLoc, Schema, StorageError, Tid, Value};
 use hermit_trs::{ConcurrentTrsTree, TrsParams, TrsTree};
 use parking_lot::RwLockReadGuard;
 use std::path::{Path, PathBuf};
@@ -713,10 +713,7 @@ impl Database {
     /// the existing row's location. See the replay loop in
     /// [`open_with_store`](Database::open_with_store).
     fn reapply_hermit_insert(&self, row: &[Value], pk: i64, loc: hermit_storage::RowLoc) {
-        let tid = match self.scheme {
-            TidScheme::Physical => Tid::from_loc(loc),
-            TidScheme::Logical => Tid::from_pk(pk),
-        };
+        let tid = self.make_tid(pk, loc);
         for (&col, index) in self.secondary.iter() {
             if let SecondaryIndex::Hermit { trs, host } = index {
                 if let (Some(m), Some(n)) = (row[col].as_f64(), row[*host].as_f64()) {
@@ -733,7 +730,6 @@ impl Database {
     /// missing or torn.
     fn rebuild_indexes(&mut self, catalog: &Catalog, dir: &Path) -> Result<(), CoreError> {
         let pk_col = self.pk_col;
-        let scheme = self.scheme;
         let base_cols: Vec<ColumnId> = catalog.baselines.iter().map(|b| b.column).collect();
         let mut primary;
         let mut entries: Vec<Vec<(F64Key, Tid)>>;
@@ -748,16 +744,15 @@ impl Database {
             // ate. Tombstone it now, or replay's per-pk idempotence would
             // leave it live forever.
             let mut ghosts: Vec<RowLoc> = Vec::new();
-            self.heap.for_each_live_row(|loc, row| {
+            // Unreadable pages are skipped: their rows are lost either way,
+            // and the rest of the heap still comes back.
+            let _ = self.heap.for_each_live_row(|loc, row| {
                 let pk = row.value(pk_col).as_i64().unwrap_or(0);
                 if let Some(old) = primary.get(pk) {
                     ghosts.push(old);
                 }
                 primary.insert(pk, loc);
-                let tid = match scheme {
-                    TidScheme::Physical => Tid::from_loc(loc),
-                    TidScheme::Logical => Tid::from_pk(pk),
-                };
+                let tid = self.make_tid(pk, loc);
                 for (slot, &col) in base_cols.iter().enumerate() {
                     if let Some(k) = row.f64(col) {
                         entries[slot].push((F64Key(k), tid));

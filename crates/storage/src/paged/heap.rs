@@ -351,72 +351,39 @@ impl PagedTable {
         Ok(row)
     }
 
-    /// Scan all live rows, yielding `(RowLoc, row)`.
-    pub fn scan(&self) -> Result<Vec<(RowLoc, Vec<Value>)>> {
-        let pages = self.pages.lock().clone();
-        let width = self.schema.width();
-        let mut out = Vec::new();
-        for pid in pages {
-            self.pool.read(pid, |page| {
-                for (slot, bytes) in page.iter() {
-                    out.push((RowLoc::new(pid as u32, slot as u32), decode_row(bytes, width)));
-                }
-            })?;
-        }
-        Ok(out)
-    }
-
     /// Stream every live row through a [`RowRef`] visitor, page by page in
     /// allocation order: each heap page is pinned once and all of its live
     /// rows are visited under that single pool access. The visitor returns
     /// `false` to stop early (a `LIMIT`ed sequential scan); the final
     /// return value reports whether the scan ran to completion.
     ///
-    /// Unreadable pages are skipped — their rows are as good as gone, the
-    /// same stance [`with_row`](Self::with_row) takes. `f` runs while the
-    /// page is pinned, so it must not re-enter the buffer pool.
-    pub fn for_each_live_row(&self, mut f: impl FnMut(RowLoc, RowRef<'_>) -> bool) -> bool {
+    /// Unreadable pages are skipped and the scan goes on; the first
+    /// page-read error is returned once it ends. A caller that must see
+    /// every row (an index build) fails on it; one that treats a lost page
+    /// as lost rows (the seq scan, recovery) ignores it, the stance
+    /// [`with_row`](Self::with_row) takes. `f` runs while the page is
+    /// pinned, so it must not re-enter the buffer pool.
+    pub fn for_each_live_row(&self, mut f: impl FnMut(RowLoc, RowRef<'_>) -> bool) -> Result<bool> {
         let pages = self.pages.lock().clone();
+        let mut complete = true;
+        let mut first_err = None;
         for pid in pages {
-            let mut keep_going = true;
-            let _ = self.pool.read(pid, |page| {
+            let read = self.pool.read(pid, |page| {
                 for (slot, bytes) in page.iter() {
                     if !f(RowLoc::new(pid as u32, slot as u32), RowRef::Encoded { bytes }) {
-                        keep_going = false;
+                        complete = false;
                         break;
                     }
                 }
             });
-            if !keep_going {
-                return false;
+            if let Err(e) = read {
+                first_err.get_or_insert(e);
+            }
+            if !complete {
+                break;
             }
         }
-        true
-    }
-
-    /// Project two numeric columns over all live rows (Algorithm 1's
-    /// temporary table), skipping NULLs.
-    pub fn project_pairs(
-        &self,
-        target: ColumnId,
-        host: ColumnId,
-    ) -> Result<Vec<(f64, f64, RowLoc)>> {
-        self.schema.column(target)?;
-        self.schema.column(host)?;
-        let pages = self.pages.lock().clone();
-        let mut out = Vec::new();
-        for pid in pages {
-            self.pool.read(pid, |page| {
-                for (slot, bytes) in page.iter() {
-                    let t = decode_cell(&bytes[target * CELL_BYTES..]).as_f64();
-                    let h = decode_cell(&bytes[host * CELL_BYTES..]).as_f64();
-                    if let (Some(t), Some(h)) = (t, h) {
-                        out.push((t, h, RowLoc::new(pid as u32, slot as u32)));
-                    }
-                }
-            })?;
-        }
-        Ok(out)
+        first_err.map_or(Ok(complete), Err)
     }
 
     /// Column statistics (same contract as [`crate::Table::stats`]).
@@ -477,9 +444,14 @@ mod tests {
         let _l1 = t.insert(&row(2, 2.0, None)).unwrap();
         t.delete(l0).unwrap();
         assert_eq!(t.len(), 1);
-        let scan = t.scan().unwrap();
-        assert_eq!(scan.len(), 1);
-        assert_eq!(scan[0].1[0], Value::Int(2));
+        let mut pks = Vec::new();
+        assert!(t
+            .for_each_live_row(|_, r| {
+                pks.push(r.value(0));
+                true
+            })
+            .unwrap());
+        assert_eq!(pks, vec![Value::Int(2)]);
         assert!(t.get(l0).is_err());
     }
 
@@ -489,9 +461,16 @@ mod tests {
         t.insert(&row(1, 1.0, Some(10.0))).unwrap();
         t.insert(&row(2, 2.0, None)).unwrap();
         t.insert(&row(3, 3.0, Some(30.0))).unwrap();
-        let pairs = t.project_pairs(1, 2).unwrap();
-        assert_eq!(pairs.len(), 2);
-        assert_eq!(pairs[1].1, 30.0);
+        let mut pairs = Vec::new();
+        assert!(t
+            .for_each_live_row(|_, r| {
+                if let (Some(a), Some(b)) = (r.f64(1), r.f64(2)) {
+                    pairs.push((a, b));
+                }
+                true
+            })
+            .unwrap());
+        assert_eq!(pairs, vec![(1.0, 10.0), (3.0, 30.0)]);
     }
 
     #[test]
@@ -566,7 +545,7 @@ mod tests {
             seen.push(r.f64(0).unwrap() as i64);
             true
         });
-        assert!(complete);
+        assert!(complete.unwrap());
         assert_eq!(seen.len(), n - 1);
         assert!(!seen.contains(&7));
         let accesses = t.pool().stats().hits() + t.pool().stats().misses();
@@ -577,7 +556,7 @@ mod tests {
             count += 1;
             count < 10
         });
-        assert!(!complete);
+        assert!(!complete.unwrap());
         assert_eq!(count, 10);
     }
 
@@ -660,7 +639,13 @@ mod tests {
             }
         });
         assert_eq!(t.len(), threads * per_thread);
-        assert_eq!(t.scan().unwrap().len(), threads * per_thread);
+        let mut scanned = 0;
+        t.for_each_live_row(|_, _| {
+            scanned += 1;
+            true
+        })
+        .unwrap();
+        assert_eq!(scanned, threads * per_thread);
     }
 
     #[test]

@@ -223,10 +223,8 @@ impl Table {
     /// sequential scan); the final return value reports whether the scan
     /// ran to completion.
     ///
-    /// This is the full-table-scan access path: unlike
-    /// [`scan`](Self::scan), no per-row liveness re-check or allocation
-    /// happens downstream — the caller reads any cells it needs from the
-    /// borrowed row view.
+    /// This is the full-table-scan access path: the caller reads any cells
+    /// it needs from the borrowed row view.
     pub fn for_each_live_row(&self, mut f: impl FnMut(RowLoc, RowRef<'_>) -> bool) -> bool {
         for idx in 0..self.total_rows {
             if self.is_deleted(idx) {
@@ -288,68 +286,6 @@ impl Table {
     pub fn stats(&self, cid: ColumnId) -> Result<&ColumnStats> {
         self.schema.column(cid)?;
         Ok(&self.stats[cid])
-    }
-
-    /// Iterate live rows as `(RowLoc, row index)` pairs.
-    pub fn scan(&self) -> impl Iterator<Item = RowLoc> + '_ {
-        (0..self.total_rows).filter(move |&i| !self.is_deleted(i)).map(RowLoc::from_index)
-    }
-
-    /// Project two numeric columns (plus row locations) over all live rows,
-    /// skipping rows where either side is NULL.
-    ///
-    /// This is the `ProjectTable` step of Algorithm 1: it materializes the
-    /// temporary (target, host, tid) table that TRS-Tree construction
-    /// consumes.
-    pub fn project_pairs(
-        &self,
-        target: ColumnId,
-        host: ColumnId,
-    ) -> Result<Vec<(f64, f64, RowLoc)>> {
-        self.schema.column(target)?;
-        self.schema.column(host)?;
-        let t = &self.columns[target];
-        let h = &self.columns[host];
-        let mut out = Vec::with_capacity(self.live_rows);
-        for i in 0..self.total_rows {
-            if self.is_deleted(i) {
-                continue;
-            }
-            if let (Some(tv), Some(hv)) = (t.get_f64(i), h.get_f64(i)) {
-                out.push((tv, hv, RowLoc::from_index(i)));
-            }
-        }
-        Ok(out)
-    }
-
-    /// Project two numeric columns over live rows whose *target* value lies
-    /// in `[lb, ub]`. Used by TRS-Tree structure reorganization, which
-    /// re-scans only the affected value range.
-    pub fn project_pairs_in_range(
-        &self,
-        target: ColumnId,
-        host: ColumnId,
-        lb: f64,
-        ub: f64,
-    ) -> Result<Vec<(f64, f64, RowLoc)>> {
-        self.schema.column(target)?;
-        self.schema.column(host)?;
-        let t = &self.columns[target];
-        let h = &self.columns[host];
-        let mut out = Vec::new();
-        for i in 0..self.total_rows {
-            if self.is_deleted(i) {
-                continue;
-            }
-            if let Some(tv) = t.get_f64(i) {
-                if tv >= lb && tv <= ub {
-                    if let Some(hv) = h.get_f64(i) {
-                        out.push((tv, hv, RowLoc::from_index(i)));
-                    }
-                }
-            }
-        }
-        Ok(out)
     }
 
     /// Heap bytes held by the table (columns + tombstones). The paper's
@@ -446,25 +382,18 @@ mod tests {
     #[test]
     fn project_pairs_skips_nulls_and_deleted() {
         let mut t = Table::new(schema());
-        let _ = t.insert(&row(1, 1.0, Some(10.0))).unwrap();
-        let l = t.insert(&row(2, 2.0, None)).unwrap(); // NULL host → skipped
+        let l1 = t.insert(&row(1, 1.0, Some(10.0))).unwrap();
+        let _ = t.insert(&row(2, 2.0, None)).unwrap(); // NULL host → skipped
         let l3 = t.insert(&row(3, 3.0, Some(30.0))).unwrap();
         t.delete(l3).unwrap();
-        let _ = l;
-        let pairs = t.project_pairs(1, 2).unwrap();
-        assert_eq!(pairs.len(), 1);
-        assert_eq!((pairs[0].0, pairs[0].1), (1.0, 10.0));
-    }
-
-    #[test]
-    fn project_pairs_in_range_filters_target() {
-        let mut t = Table::new(schema());
-        for i in 0..10 {
-            t.insert(&row(i, i as f64, Some(i as f64 * 2.0))).unwrap();
-        }
-        let pairs = t.project_pairs_in_range(1, 2, 3.0, 6.0).unwrap();
-        let targets: Vec<f64> = pairs.iter().map(|p| p.0).collect();
-        assert_eq!(targets, vec![3.0, 4.0, 5.0, 6.0]);
+        let mut pairs = Vec::new();
+        assert!(t.for_each_live_row(|loc, r| {
+            if let (Some(a), Some(b)) = (r.f64(1), r.f64(2)) {
+                pairs.push((a, b, loc));
+            }
+            true
+        }));
+        assert_eq!(pairs, vec![(1.0, 10.0, l1)]);
     }
 
     #[test]
@@ -472,9 +401,12 @@ mod tests {
         let mut t = Table::new(schema());
         let locs: Vec<_> = (0..5).map(|i| t.insert(&row(i, i as f64, None)).unwrap()).collect();
         t.delete(locs[2]).unwrap();
-        let scanned: Vec<_> = t.scan().collect();
-        assert_eq!(scanned.len(), 4);
-        assert!(!scanned.contains(&locs[2]));
+        let mut scanned = Vec::new();
+        assert!(t.for_each_live_row(|loc, _| {
+            scanned.push(loc);
+            true
+        }));
+        assert_eq!(scanned, [locs[0], locs[1], locs[3], locs[4]]);
     }
 
     #[test]

@@ -201,8 +201,9 @@ impl ConcurrentTrsTree {
             let Some(spec) = spec else { continue };
 
             // Phase 3: scan + build *offline* — no tree latch held, so
-            // lookups and writers proceed during the expensive part...
-            let sub = spec.build(source);
+            // lookups and writers proceed during the expensive part. A
+            // failed rescan keeps the old subtree...
+            let Ok(sub) = spec.build(source) else { continue };
 
             // ...and install under the coarse latch (the brief step).
             {
@@ -231,8 +232,13 @@ impl ConcurrentTrsTree {
 
     /// Reorganize the `i`-th first-level subtree online (the §7.7 trace
     /// driver). Follows the same flag / side-buffer / offline-build
-    /// protocol as [`reorganize_pass`](Self::reorganize_pass).
-    pub fn reorganize_first_level_subtree(&self, i: usize, source: &dyn PairSource) -> bool {
+    /// protocol as [`reorganize_pass`](Self::reorganize_pass); a failed
+    /// rescan keeps the old subtree and is returned.
+    pub fn reorganize_first_level_subtree(
+        &self,
+        i: usize,
+        source: &dyn PairSource,
+    ) -> hermit_storage::Result<bool> {
         self.begin_reorg();
         let spec = {
             let tree = self.tree.read();
@@ -243,43 +249,45 @@ impl ConcurrentTrsTree {
                 _ => None,
             }
         };
-        let ok = match spec {
-            Some(spec) => {
-                let sub = spec.build(source);
-                self.tree.write().graft_subtree(spec.node, sub);
-                true
-            }
-            None => false,
-        };
-        {
+        let built = spec.map(|spec| spec.build(source).map(|sub| (spec.node, sub))).transpose();
+        let grafted = {
             let mut tree = self.tree.write();
+            let grafted =
+                built.map(|b| b.map(|(node, sub)| tree.graft_subtree(node, sub)).is_some());
             self.finish_reorg(&mut tree);
-        }
-        if ok {
+            grafted
+        };
+        if grafted == Ok(true) {
             self.reorg_passes.fetch_add(1, Ordering::Relaxed);
         }
-        ok
+        grafted
     }
 
     /// Rebuild the whole tree from fresh data (the §4.4 limit case),
     /// following the same flag / side-buffer / offline-build protocol as
-    /// the partial reorganizations.
-    pub fn rebuild(&self, source: &dyn PairSource) {
+    /// the partial reorganizations. On a failed scan the tree is left as
+    /// it was.
+    pub fn rebuild(&self, source: &dyn PairSource) -> hermit_storage::Result<()> {
         self.begin_reorg();
         let spec = {
             let tree = self.tree.read();
             tree.replacement_spec(tree.root())
         };
         let fresh = spec.build(source);
-        {
+        let rebuilt = {
             let mut tree = self.tree.write();
-            let root = tree.root();
-            tree.graft_subtree(root, fresh);
-            // Every queued candidate refers to pre-rebuild structure.
-            while tree.next_reorg_candidate().is_some() {}
+            let rebuilt = fresh.map(|fresh| {
+                let root = tree.root();
+                tree.graft_subtree(root, fresh);
+                // Every queued candidate refers to pre-rebuild structure.
+                while tree.next_reorg_candidate().is_some() {}
+            });
             self.finish_reorg(&mut tree);
-        }
+            rebuilt
+        };
+        rebuilt?;
         self.reorg_passes.fetch_add(1, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Serialize a checkpoint of the tree under the write latch (the
@@ -371,8 +379,8 @@ mod tests {
     struct SharedSource(parking_lot::Mutex<Vec<(f64, f64, Tid)>>);
 
     impl crate::PairSource for SharedSource {
-        fn scan_range(&self, lb: f64, ub: f64) -> Vec<(f64, f64, Tid)> {
-            self.0.lock().iter().filter(|(m, _, _)| *m >= lb && *m <= ub).copied().collect()
+        fn scan_range(&self, lb: f64, ub: f64) -> hermit_storage::Result<Vec<(f64, f64, Tid)>> {
+            Ok(self.0.lock().iter().filter(|(m, _, _)| *m >= lb && *m <= ub).copied().collect())
         }
     }
 
@@ -448,7 +456,7 @@ mod tests {
                 let source = &source;
                 s.spawn(move || {
                     for i in 0..8 {
-                        tree.reorganize_first_level_subtree(i, source);
+                        tree.reorganize_first_level_subtree(i, source).unwrap();
                     }
                 });
             }

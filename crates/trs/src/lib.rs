@@ -61,15 +61,17 @@ use hermit_storage::Tid;
 /// wrap a storage-engine table (see `hermit-core`) or an in-memory vector
 /// (tests, benchmarks).
 pub trait PairSource {
-    /// All live pairs whose *target* value lies in `[lb, ub]`.
-    fn scan_range(&self, lb: f64, ub: f64) -> Vec<(f64, f64, Tid)>;
+    /// All live pairs whose *target* value lies in `[lb, ub]`. A scan that
+    /// cannot read part of the table fails rather than return a partial
+    /// set: a subtree rebuilt from it would drop the missing rows.
+    fn scan_range(&self, lb: f64, ub: f64) -> hermit_storage::Result<Vec<(f64, f64, Tid)>>;
 }
 
 /// A [`PairSource`] over a plain slice of pairs (testing / benchmarking).
 pub struct VecPairSource(pub Vec<(f64, f64, Tid)>);
 
 impl PairSource for VecPairSource {
-    fn scan_range(&self, lb: f64, ub: f64) -> Vec<(f64, f64, Tid)> {
-        self.0.iter().filter(|(m, _, _)| *m >= lb && *m <= ub).copied().collect()
+    fn scan_range(&self, lb: f64, ub: f64) -> hermit_storage::Result<Vec<(f64, f64, Tid)>> {
+        Ok(self.0.iter().filter(|(m, _, _)| *m >= lb && *m <= ub).copied().collect())
     }
 }

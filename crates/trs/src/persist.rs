@@ -515,7 +515,7 @@ mod tests {
         // Force garbage + id churn, then compact.
         let fresh: Vec<(f64, f64, Tid)> =
             (0..5_000).map(|i| (i as f64, 2.0 * i as f64, Tid(i as u64))).collect();
-        tree.reorganize_first_level_subtree(0, &crate::VecPairSource(fresh));
+        tree.reorganize_first_level_subtree(0, &crate::VecPairSource(fresh)).unwrap();
         tree.compact();
         // Every surviving candidate must point at a node whose role matches.
         while let Some(cand) = tree.next_reorg_candidate() {

@@ -26,7 +26,8 @@ pub struct ReorgReport {
     pub splits: usize,
     /// Subtree merges executed.
     pub merges: usize,
-    /// Candidates skipped (stale node ids, already-reorganized ranges).
+    /// Candidates skipped: stale node ids, already-reorganized ranges, or
+    /// a failed rescan (the old subtree stays in place).
     pub skipped: usize,
 }
 
@@ -61,17 +62,20 @@ impl ReplacementSpec {
     /// and the replacement's range widens to hug the data actually found,
     /// so out-of-domain tuples become modeled (or properly buffered)
     /// members of the new subtree instead of being lost.
-    pub fn build(&self, source: &dyn PairSource) -> TrsTree {
+    ///
+    /// A failed scan is an error, never an empty replacement: grafting a
+    /// subtree built from a partial scan would drop the missing rows.
+    pub fn build(&self, source: &dyn PairSource) -> hermit_storage::Result<TrsTree> {
         let scan_lb = if self.at_lower_edge { f64::NEG_INFINITY } else { self.range.lb };
         let scan_ub = if self.at_upper_edge { f64::INFINITY } else { self.range.ub };
-        let pairs = source.scan_range(scan_lb, scan_ub);
+        let pairs = source.scan_range(scan_lb, scan_ub)?;
         let mut lb = self.range.lb;
         let mut ub = self.range.ub;
         for (m, _, _) in &pairs {
             lb = lb.min(*m);
             ub = ub.max(*m);
         }
-        TrsTree::build_with_buffer(self.sub_params, self.buffer_kind, (lb, ub), pairs)
+        Ok(TrsTree::build_with_buffer(self.sub_params, self.buffer_kind, (lb, ub), pairs))
     }
 
     /// The range the replacement was built for (install-time validity
@@ -137,10 +141,15 @@ impl TrsTree {
     /// ([`replacement_spec`](Self::replacement_spec) +
     /// [`graft_subtree`](Self::graft_subtree) in one exclusive step — the
     /// concurrent wrapper interleaves them to keep the scan latch-free).
-    /// Returns the number of leaves in the new subtree.
-    pub fn reorganize_node(&mut self, node: NodeId, source: &dyn PairSource) -> usize {
-        let sub = self.replacement_spec(node).build(source);
-        self.graft_subtree(node, sub)
+    /// Returns the number of leaves in the new subtree; on a failed scan
+    /// the old subtree stays.
+    pub fn reorganize_node(
+        &mut self,
+        node: NodeId,
+        source: &dyn PairSource,
+    ) -> hermit_storage::Result<usize> {
+        let sub = self.replacement_spec(node).build(source)?;
+        Ok(self.graft_subtree(node, sub))
     }
 
     fn depth_of(&self, node: NodeId) -> usize {
@@ -179,11 +188,12 @@ impl TrsTree {
         let mut report = ReorgReport::default();
         for _ in 0..limit {
             let Some(cand) = self.next_reorg_candidate() else { break };
-            if !self.candidate_still_valid(&cand) {
+            if !self.candidate_still_valid(&cand)
+                || self.reorganize_node(cand.node, source).is_err()
+            {
                 report.skipped += 1;
                 continue;
             }
-            self.reorganize_node(cand.node, source);
             match cand.kind {
                 ReorgKind::Split => report.splits += 1,
                 ReorgKind::Merge => report.merges += 1,
@@ -207,31 +217,37 @@ impl TrsTree {
     /// Rebuild the entire tree from fresh data — the "reorganize entire
     /// subtree at once" response to drastic workload change (§4.4 / §7.7
     /// reorganizes first-level subtrees; rebuilding from the root is the
-    /// limit case and also compacts the arena).
-    pub fn rebuild(&mut self, source: &dyn PairSource) {
+    /// limit case and also compacts the arena). On a failed scan the tree
+    /// is left as it was.
+    pub fn rebuild(&mut self, source: &dyn PairSource) -> hermit_storage::Result<()> {
         // The root is both domain edges at once, so the spec's open-ended
         // scan also re-domains the tree over whatever the table now holds.
-        let fresh = self.replacement_spec(self.root).build(source);
+        let fresh = self.replacement_spec(self.root).build(source)?;
         self.arena = fresh.arena;
         self.root = fresh.root;
         self.reorg_queue.clear();
+        Ok(())
     }
 
     /// Rebuild the `i`-th first-level subtree (used by the §7.7 trace,
     /// which reorganizes 1/4 of the structure every 5 seconds). Returns
     /// false if the root is a leaf (nothing to partially reorganize).
-    pub fn reorganize_first_level_subtree(&mut self, i: usize, source: &dyn PairSource) -> bool {
+    pub fn reorganize_first_level_subtree(
+        &mut self,
+        i: usize,
+        source: &dyn PairSource,
+    ) -> hermit_storage::Result<bool> {
         let child = {
             let NodeKind::Internal { children } = &self.node(self.root).kind else {
-                return false;
+                return Ok(false);
             };
             if children.is_empty() {
-                return false;
+                return Ok(false);
             }
             children[i % children.len()]
         };
-        self.reorganize_node(child, source);
-        true
+        self.reorganize_node(child, source)?;
+        Ok(true)
     }
 
     /// Compact the arena after reorganizations left garbage nodes behind:
@@ -385,7 +401,7 @@ mod tests {
             tree.insert(0.0, 1.0e9, Tid(100_000 + i));
         }
         assert!(tree.stats().outliers >= 5_000);
-        tree.rebuild(&VecPairSource(pairs));
+        tree.rebuild(&VecPairSource(pairs)).unwrap();
         // Fresh sigmoid data may legitimately keep a few build-time
         // outliers (< outlier_ratio per leaf); the injected flood is gone.
         assert!(
@@ -404,13 +420,13 @@ mod tests {
         assert!(tree.stats().internals > 0);
         let source = VecPairSource(pairs);
         for i in 0..8 {
-            assert!(tree.reorganize_first_level_subtree(i, &source));
+            assert!(tree.reorganize_first_level_subtree(i, &source).unwrap());
         }
         tree.compact();
         tree.check_invariants().unwrap();
         // Single-leaf tree: partial reorg is a no-op.
         let mut flat = TrsTree::build(TrsParams::default(), (0.0, 9.0), vec![(1.0, 1.0, Tid(0))]);
-        assert!(!flat.reorganize_first_level_subtree(0, &source));
+        assert!(!flat.reorganize_first_level_subtree(0, &source).unwrap());
     }
 
     #[test]
@@ -420,7 +436,7 @@ mod tests {
         let source = VecPairSource(pairs);
         let before_nodes = tree.arena.len();
         for i in 0..8 {
-            tree.reorganize_first_level_subtree(i, &source);
+            tree.reorganize_first_level_subtree(i, &source).unwrap();
         }
         assert!(tree.arena.len() > before_nodes, "reorg leaves garbage");
         tree.compact();
@@ -466,6 +482,35 @@ mod tests {
         // And the in-domain originals are intact too.
         let r = tree.lookup_point(500.0);
         assert!(r.ranges.iter().any(|(lo, hi)| 1_000.0 >= *lo && 1_000.0 <= *hi));
+    }
+
+    /// A source whose every scan fails, like a base table on a dead device.
+    struct FailingSource;
+
+    impl PairSource for FailingSource {
+        fn scan_range(&self, _: f64, _: f64) -> hermit_storage::Result<Vec<(f64, f64, Tid)>> {
+            Err(hermit_storage::StorageError::Io("device gone".into()))
+        }
+    }
+
+    #[test]
+    fn failed_rescan_keeps_the_old_subtree() {
+        let mut tree = TrsTree::build(
+            TrsParams::default(),
+            (0.0, 999.0),
+            (0..1000).map(|i| (i as f64, i as f64, Tid(i))).collect(),
+        );
+        for i in 0..400u64 {
+            tree.insert(500.0, 9.0e9, Tid(10_000 + i));
+        }
+        let queued = tree.reorg_queue_len();
+        assert!(queued > 0, "the flood must queue a split");
+        let before = tree.stats();
+        let report = tree.reorganize_batch(&FailingSource, 16);
+        assert_eq!(report, ReorgReport { splits: 0, merges: 0, skipped: queued });
+        assert!(tree.rebuild(&FailingSource).is_err());
+        assert_eq!(tree.stats(), before, "a failed rescan must not touch the tree");
+        assert!(tree.lookup_point(500.0).tids.contains(&Tid(10_399)), "buffered outlier lost");
     }
 
     #[test]

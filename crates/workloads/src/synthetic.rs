@@ -155,6 +155,18 @@ pub fn build_synthetic(config: &SyntheticConfig, scheme: TidScheme) -> Database 
 mod tests {
     use super::*;
     use hermit_core::{PlanKind, Query};
+    use hermit_storage::RowLoc;
+
+    fn live_locs(db: &Database) -> Vec<RowLoc> {
+        let mut locs = Vec::new();
+        db.heap()
+            .for_each_live_row(|loc, _| {
+                locs.push(loc);
+                true
+            })
+            .unwrap();
+        locs
+    }
 
     #[test]
     fn generates_requested_cardinality() {
@@ -171,10 +183,7 @@ mod tests {
         let db = build_synthetic(&cfg, TidScheme::Physical);
         let heap = db.heap();
         let mut checked = 0;
-        for loc in match heap {
-            hermit_core::Heap::Mem(t) => t.read().scan().collect::<Vec<_>>(),
-            _ => unreachable!(),
-        } {
+        for loc in live_locs(&db) {
             let b = heap.value_f64(loc, cols::COL_B).unwrap().unwrap();
             let c = heap.value_f64(loc, cols::COL_C).unwrap().unwrap();
             assert!((b - (2.0 * c + 3.0)).abs() < 1e-9);
@@ -203,10 +212,7 @@ mod tests {
         let db = build_synthetic(&cfg, TidScheme::Physical);
         let heap = db.heap();
         let mut noisy = 0;
-        for loc in match heap {
-            hermit_core::Heap::Mem(t) => t.read().scan().collect::<Vec<_>>(),
-            _ => unreachable!(),
-        } {
+        for loc in live_locs(&db) {
             let b = heap.value_f64(loc, cols::COL_B).unwrap().unwrap();
             let c = heap.value_f64(loc, cols::COL_C).unwrap().unwrap();
             if (b - cfg.correlate(c)).abs() > 1e-6 {
@@ -228,10 +234,7 @@ mod tests {
         let db = build_synthetic(&cfg, TidScheme::Physical);
         assert_eq!(db.heap().schema().width(), 7);
         let heap = db.heap();
-        let loc = match heap {
-            hermit_core::Heap::Mem(t) => t.read().scan().next().unwrap(),
-            _ => unreachable!(),
-        };
+        let loc = live_locs(&db)[0];
         let b = heap.value_f64(loc, cols::COL_B).unwrap().unwrap();
         let x0 = heap.value_f64(loc, cols::EXTRA_BASE).unwrap().unwrap();
         assert!((x0 - b * 1.5).abs() < 1e-9);
@@ -260,10 +263,7 @@ mod tests {
         let a = build_synthetic(&cfg, TidScheme::Physical);
         let b = build_synthetic(&cfg, TidScheme::Physical);
         let (ha, hb) = (a.heap(), b.heap());
-        for loc in match ha {
-            hermit_core::Heap::Mem(t) => t.read().scan().collect::<Vec<_>>(),
-            _ => unreachable!(),
-        } {
+        for loc in live_locs(&a) {
             assert_eq!(ha.get(loc).unwrap(), hb.get(loc).unwrap());
         }
     }

@@ -14,11 +14,9 @@
 //! cargo run --release --example multi_column
 //! ```
 
-use hermit::core::composite::CompositeIndexes;
-use hermit::core::{Database, RangePredicate};
+use hermit::core::{Database, PlanKind, Query};
 use hermit::stats::pearson;
-use hermit::storage::{ColumnDef, Schema, TidScheme, Value};
-use hermit::trs::TrsParams;
+use hermit::storage::{ColumnDef, RowLoc, Schema, TidScheme, Value};
 
 const TIME: usize = 0;
 const DJ: usize = 1;
@@ -32,7 +30,7 @@ fn main() {
         ColumnDef::float("sp"),
         ColumnDef::float("vol"),
     ]);
-    let db = Database::new(schema, TIME, TidScheme::Physical);
+    let mut db = Database::new(schema, TIME, TidScheme::Physical);
 
     // 60 years of trading days: DJ drifts upward; SP tracks DJ at roughly
     // 1/8 scale with its own wiggle (the Fig. 26 relationship).
@@ -49,50 +47,60 @@ fn main() {
     }
 
     // Correlation check a DBA would run before recommending Hermit.
-    let hermit::core::Heap::Mem(table) = db.heap() else { unreachable!() };
-    let table = table.read();
-    let djs: Vec<f64> = table.column(DJ).unwrap().iter_f64().flatten().collect();
-    let sps: Vec<f64> = table.column(SP).unwrap().iter_f64().flatten().collect();
-    println!("pearson(SP, DJ) = {:.4}", pearson(&sps, &djs));
+    let djs: Vec<f64> = {
+        let hermit::core::Heap::Mem(table) = db.heap() else { unreachable!() };
+        let table = table.read();
+        let sps: Vec<f64> = table.column(SP).unwrap().iter_f64().flatten().collect();
+        let djs: Vec<f64> = table.column(DJ).unwrap().iter_f64().flatten().collect();
+        println!("pearson(SP, DJ) = {:.4}", pearson(&sps, &djs));
+        djs
+    };
 
     // Existing composite index on (TIME, DJ); Hermit composite on
     // (TIME, SP) routed through DJ.
-    let mut comp = CompositeIndexes::new();
-    let host = comp.create_baseline(&db, TIME, DJ).unwrap();
-    let hermit_idx = comp.create_hermit(&db, TIME, SP, DJ, TrsParams::default()).unwrap();
-    println!(
-        "index sizes: (TIME,DJ) host = {:.1} KB | (TIME,SP) Hermit = {:.2} KB",
-        comp.get(host).unwrap().memory_bytes() as f64 / 1024.0,
-        comp.get(hermit_idx).unwrap().memory_bytes() as f64 / 1024.0,
-    );
+    let host = db.create_composite_baseline(TIME, DJ).unwrap();
+    let hermit_idx = db.create_composite_hermit(TIME, SP, DJ).unwrap();
+    {
+        let composites = db.composites();
+        println!(
+            "index sizes: (TIME,DJ) host = {:.1} KB | (TIME,SP) Hermit = {:.2} KB",
+            composites.get(host).unwrap().memory_bytes() as f64 / 1024.0,
+            composites.get(hermit_idx).unwrap().memory_bytes() as f64 / 1024.0,
+        );
+    }
 
-    // The paper's box query: a TIME window AND an SP band.
+    // The paper's box query: a TIME window AND an SP band. The planner
+    // routes it through the composite Hermit index.
     let (sp_lo, sp_hi) = {
         let mid = djs[10_000] / 8.0;
         (mid - 5.0, mid + 5.0)
     };
-    let result = comp.lookup_box(
-        &db,
-        hermit_idx,
-        RangePredicate::range(TIME, 8_000.0, 12_000.0),
-        RangePredicate::range(SP, sp_lo, sp_hi),
-    );
+    let query = Query::new().range(TIME, 8_000.0, 12_000.0).range(SP, sp_lo, sp_hi);
+    let plan = db.plan(&query);
+    assert_eq!(plan.kind(), PlanKind::Composite, "{plan}");
+    println!("{plan}");
+    let result = db.execute_plan(&plan);
     println!(
         "days 8000–12000 with SP in [{sp_lo:.2}, {sp_hi:.2}]: {} rows ({} false positives removed)",
         result.rows.len(),
         result.false_positives
     );
 
-    // Cross-check against a direct composite baseline on (TIME, SP).
-    let direct = comp.create_baseline(&db, TIME, SP).unwrap();
-    let expected = comp.lookup_box(
-        &db,
-        direct,
-        RangePredicate::range(TIME, 8_000.0, 12_000.0),
-        RangePredicate::range(SP, sp_lo, sp_hi),
-    );
-    assert_eq!(result.rows.len(), expected.rows.len());
-    println!("verified against a complete (TIME, SP) composite index ✓");
+    // Cross-check against a sequential scan of the base table.
+    let mut expected: Vec<RowLoc> = Vec::new();
+    db.heap()
+        .for_each_live_row(|loc, row| {
+            if query.conjuncts().iter().all(|p| p.matches(row.f64(p.column))) {
+                expected.push(loc);
+            }
+            true
+        })
+        .unwrap();
+    let mut got = result.rows.clone();
+    got.sort_unstable();
+    expected.sort_unstable();
+    assert_eq!(got, expected);
+    println!("verified against a sequential scan ✓");
 
     for &loc in result.rows.iter().take(3) {
         let row = db.heap().get(loc).unwrap();

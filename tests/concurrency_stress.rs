@@ -12,8 +12,8 @@ use std::sync::Arc;
 struct SharedTable(Mutex<Vec<(f64, f64, Tid)>>);
 
 impl PairSource for SharedTable {
-    fn scan_range(&self, lb: f64, ub: f64) -> Vec<(f64, f64, Tid)> {
-        self.0.lock().iter().filter(|(m, _, _)| *m >= lb && *m <= ub).copied().collect()
+    fn scan_range(&self, lb: f64, ub: f64) -> hermit::storage::Result<Vec<(f64, f64, Tid)>> {
+        Ok(self.0.lock().iter().filter(|(m, _, _)| *m >= lb && *m <= ub).copied().collect())
     }
 }
 
@@ -76,7 +76,7 @@ fn writers_readers_and_reorg_for_many_rounds() {
                 for round in 0..12 {
                     tree.reorganize_pass(table.as_ref(), 8);
                     if round % 3 == 0 {
-                        tree.reorganize_first_level_subtree(round, table.as_ref());
+                        tree.reorganize_first_level_subtree(round, table.as_ref()).unwrap();
                     }
                 }
             });

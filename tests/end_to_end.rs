@@ -23,20 +23,17 @@ fn scan_count(
     ub: f64,
     extra: Option<(usize, f64, f64)>,
 ) -> usize {
-    let Heap::Mem(table) = db.heap() else { unreachable!("mem heap expected") };
-    let table = table.read();
-    let c = table.column(col).unwrap();
-    table
-        .scan()
-        .filter(|loc| {
-            let i = loc.index();
-            let main = c.get_f64(i).is_some_and(|v| v >= lb && v <= ub);
-            let extra_ok = extra.is_none_or(|(ec, elb, eub)| {
-                table.column(ec).unwrap().get_f64(i).is_some_and(|v| v >= elb && v <= eub)
-            });
-            main && extra_ok
+    let mut count = 0;
+    db.heap()
+        .for_each_live_row(|_, row| {
+            let main = row.f64(col).is_some_and(|v| v >= lb && v <= ub);
+            let extra_ok = extra
+                .is_none_or(|(ec, elb, eub)| row.f64(ec).is_some_and(|v| v >= elb && v <= eub));
+            count += usize::from(main && extra_ok);
+            true
         })
-        .count()
+        .unwrap();
+    count
 }
 
 /// Execute `q`, asserting the planner routes it through `kind`.
@@ -182,11 +179,12 @@ fn reorganization_through_database_pair_source() {
     // Reorganize via the TablePairSource adapter. Split borrow: snapshot
     // the pairs first, then rebuild the tree.
     let pairs = TablePairSource { db: &db, target: cols::COL_C, host: cols::COL_B }
-        .scan_range(f64::NEG_INFINITY, f64::INFINITY);
+        .scan_range(f64::NEG_INFINITY, f64::INFINITY)
+        .unwrap();
     let Some(SecondaryIndex::Hermit { trs, .. }) = db.index_mut(cols::COL_C) else {
         unreachable!()
     };
-    trs.rebuild(&hermit::trs::VecPairSource(pairs));
+    trs.rebuild(&hermit::trs::VecPairSource(pairs)).unwrap();
     let after = trs.stats().outliers;
     assert!(after * 5 < before, "reorg should shrink buffers: {before} -> {after}");
 

@@ -1,10 +1,14 @@
 //! Property-based tests on the storage substrate: the in-memory table and
 //! the paged heap must agree with a reference model under arbitrary
-//! insert/delete/read sequences, and pages must round-trip through the
-//! buffer pool under arbitrary access orders.
+//! insert/delete/read sequences, pages must round-trip through the
+//! buffer pool under arbitrary access orders, and the index-build
+//! projection must agree across the two substrates.
 
+use hermit::core::database::TablePairSource;
+use hermit::core::Database;
 use hermit::storage::paged::{BufferPool, PagedTable, SimulatedPageStore};
-use hermit::storage::{ColumnDef, RowLoc, Schema, Table, Value};
+use hermit::storage::{ColumnDef, RowLoc, Schema, Table, TidScheme, Value};
+use hermit::trs::PairSource;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -86,8 +90,18 @@ fn run_against_model(ops: Vec<Op>, pool_pages: usize) -> Result<(), TestCaseErro
     prop_assert_eq!(mem.len(), live);
     prop_assert_eq!(paged.len(), live);
     // Scans agree with the model.
-    let mem_rows = mem.scan().count();
-    let paged_rows = paged.scan().unwrap().len();
+    let mut mem_rows = 0;
+    mem.for_each_live_row(|_, _| {
+        mem_rows += 1;
+        true
+    });
+    let mut paged_rows = 0;
+    paged
+        .for_each_live_row(|_, _| {
+            paged_rows += 1;
+            true
+        })
+        .unwrap();
     prop_assert_eq!(mem_rows, live);
     prop_assert_eq!(paged_rows, live);
     Ok(())
@@ -104,28 +118,41 @@ proptest! {
         run_against_model(ops, pool_pages)?;
     }
 
+    /// The index-build projection (`TablePairSource::scan_range`, target
+    /// `a`, host `pk`) yields the same pairs on both substrates, and exactly
+    /// the live non-NULL rows whose target lies in the inclusive range.
     #[test]
-    fn project_pairs_agree_between_heaps(
-        rows in proptest::collection::vec(
-            (any::<i64>(), proptest::option::of(-1.0e3f64..1.0e3)),
-            1..200,
-        ),
+    fn scan_range_agrees_between_heaps(
+        values in proptest::collection::vec(proptest::option::of(-1.0e3f64..1.0e3), 1..200),
+        bounds in (-1.2e3f64..1.2e3, -1.2e3f64..1.2e3),
+        delete_every in 2usize..9,
     ) {
-        let mut mem = Table::new(schema());
+        let (lb, ub) = (bounds.0.min(bounds.1), bounds.0.max(bounds.1));
+        let mem = Database::new(schema(), 0, TidScheme::Physical);
         let pool = Arc::new(BufferPool::new(Arc::new(SimulatedPageStore::new()), 4));
-        let paged = PagedTable::new(schema(), pool);
-        for (pk, a) in &rows {
-            let row = vec![Value::Int(*pk), a.map_or(Value::Null, Value::Float)];
+        let paged = Database::new_paged(PagedTable::new(schema(), pool), 0);
+        let mut want = Vec::new();
+        for (pk, a) in values.iter().enumerate() {
+            let row = vec![Value::Int(pk as i64), a.map_or(Value::Null, Value::Float)];
             mem.insert(&row).unwrap();
             paged.insert(&row).unwrap();
+            if pk % delete_every == 0 {
+                mem.delete_by_pk(pk as i64).unwrap();
+                paged.delete_by_pk(pk as i64).unwrap();
+            } else if let Some(a) = a.filter(|a| *a >= lb && *a <= ub) {
+                want.push((a, pk as f64));
+            }
         }
-        let mut pm: Vec<(f64, f64)> =
-            mem.project_pairs(0, 1).unwrap().iter().map(|(m, n, _)| (*m, *n)).collect();
-        let mut pp: Vec<(f64, f64)> =
-            paged.project_pairs(0, 1).unwrap().iter().map(|(m, n, _)| (*m, *n)).collect();
-        pm.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        pp.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        prop_assert_eq!(pm, pp);
+        let pairs_of = |db: &Database| -> Vec<(f64, f64)> {
+            let src = TablePairSource { db, target: 1, host: 0 };
+            let mut p: Vec<(f64, f64)> =
+                src.scan_range(lb, ub).unwrap().iter().map(|(m, n, _)| (*m, *n)).collect();
+            p.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            p
+        };
+        want.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        prop_assert_eq!(pairs_of(&mem), want.clone());
+        prop_assert_eq!(pairs_of(&paged), want);
     }
 
     #[test]
