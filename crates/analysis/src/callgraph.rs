@@ -15,6 +15,8 @@
 //! * **`expr.method(…)`** (any other receiver) — a receiver-type
 //!   heuristic: resolves only when the crate declares exactly one method
 //!   of that name, so the binding is unambiguous without type inference.
+//!   A receiver named like a declared latch (`wal.commit()`) is guarded
+//!   data and stays unresolved.
 //!
 //! Everything else — cross-crate calls, std, ambiguous names, closures —
 //! is **recorded as unresolved**, not silently dropped: every function
@@ -25,6 +27,7 @@
 
 use crate::lexer::{Token, TokenKind};
 use crate::scope::{self, Func};
+use hermit_core::latches::level_for_receiver;
 
 /// One call site inside a function body.
 #[derive(Debug)]
@@ -295,6 +298,10 @@ pub fn build(files: &[(String, String)]) -> CallGraph {
                         .as_deref()
                         .and_then(|ty| methods.get(&(krate.as_str(), ty, name.as_str())))
                         .and_then(|v| (v.len() == 1).then(|| v[0])),
+                    // A receiver named like a declared latch (`wal`,
+                    // `table`, …) is that latch's guarded value, never an
+                    // engine handle: unresolved, like chained receivers.
+                    Some(r) if level_for_receiver(r).is_some() => None,
                     // Receiver-type heuristic: a named receiver whose
                     // method name is unique crate-wide binds unambiguously.
                     Some(_) => by_method_name
@@ -386,6 +393,17 @@ mod tests {
         );
         let caller = node(&g, "caller");
         assert!(caller.calls[0].callee.is_some(), "unique method should bind");
+    }
+
+    #[test]
+    fn latch_named_receivers_are_guarded_data() {
+        let g = graph(
+            "struct Db;\n\
+             impl Db { fn commit(&self) {} }\n\
+             fn log(wal: &mut WalWriter) { wal.commit(); }\n",
+        );
+        let log = node(&g, "log");
+        assert!(log.calls[0].callee.is_none(), "the WAL writer is not the Db handle");
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //!
 //! Acquisitions are recognized lexically: `recv.read()` / `recv.write()` /
 //! `recv.lock()` where `recv`'s final path segment is a declared receiver,
-//! or a declared no-argument guard-returning method (`wal_guard()`,
-//! `composites_mut()`, …). Guard lifetime uses the same heuristic a
+//! or a declared guard-returning method (`wal_guard()`,
+//! `read_view(owner)`, …). Guard lifetime uses the same heuristic a
 //! reviewer applies when scanning a diff:
 //!
 //! * `let g = x.read();` — **held** to the end of the enclosing block
@@ -79,13 +79,13 @@ pub(crate) fn find_acquisitions(tokens: &[Token], eff: &[usize]) -> Vec<Acquisit
             continue;
         }
         let m = tok(p + 1);
-        if m.kind != TokenKind::Ident || !tok(p + 2).is_punct("(") || !tok(p + 3).is_punct(")") {
+        if m.kind != TokenKind::Ident || !tok(p + 2).is_punct("(") {
             p += 1;
             continue;
         }
         let (level, via) = if matches!(m.text.as_str(), "read" | "write" | "lock") {
-            // Receiver = identifier directly before the dot.
-            if p == 0 || tok(p - 1).kind != TokenKind::Ident {
+            // Receiver = identifier directly before the dot; no arguments.
+            if p == 0 || tok(p - 1).kind != TokenKind::Ident || !tok(p + 3).is_punct(")") {
                 p += 1;
                 continue;
             }
@@ -106,12 +106,30 @@ pub(crate) fn find_acquisitions(tokens: &[Token], eff: &[usize]) -> Vec<Acquisit
                 }
             }
         };
-        let call_end = p + 3; // the `)`
+        // The call's `)`: a declared method may take arguments.
+        let call_end = close_paren(tok, eff.len(), p + 2);
         let scope_end = guard_scope_end(eff, tokens, p, call_end);
         acqs.push(Acquisition { level, via, pos: p + 1, line: m.line, scope_end });
         p = call_end + 1;
     }
     acqs
+}
+
+/// Position of the `)` closing the `(` at `open`, or the last position
+/// when unbalanced.
+fn close_paren<'a>(tok: impl Fn(usize) -> &'a Token, len: usize, open: usize) -> usize {
+    let mut depth = 0usize;
+    for p in open..len {
+        if tok(p).is_punct("(") {
+            depth += 1;
+        } else if tok(p).is_punct(")") {
+            depth -= 1;
+            if depth == 0 {
+                return p;
+            }
+        }
+    }
+    len - 1
 }
 
 /// Render the declared order for diagnostics.

@@ -45,6 +45,22 @@ fn latch_hold_io_fires_only_on_non_io_safe_guards() {
 }
 
 #[test]
+fn latch_order_sees_guard_methods_that_take_arguments() {
+    // `read_view(owner)` holds the rank-25 visibility latch to the end of
+    // the block, so taking the quiesce latch (rank 10) under it fires.
+    let ws = synthetic(&[(
+        "crates/core/src/fixture.rs",
+        "fn inverted(&self, d: &Durability) { let view = self.txns.read_view(Some(1)); \
+         let q = d.quiesce_read(); view.touch(); }\n\
+         fn in_order(&self, d: &Durability) { let q = d.quiesce_read(); \
+         let view = self.txns.read_view(None); view.touch(); }\n",
+    )]);
+    let got = of_rule(&analyze(&ws), RuleId::LatchOrder);
+    assert_eq!(got.len(), 1, "{got:?}");
+    assert!(mentions(&got, "inverted") && mentions(&got, "read_view"));
+}
+
+#[test]
 fn latch_rules_do_not_run_outside_core() {
     // The same bad source under a non-core path is out of scope.
     let ws = synthetic(&[("crates/trs/src/fixture.rs", include_str!("fixtures/latch_order.rs"))]);

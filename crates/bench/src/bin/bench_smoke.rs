@@ -355,12 +355,11 @@ fn durability_metrics(rows: usize) -> String {
 /// Transaction subsystem throughput: commit rate at 1 / 8 / 64 statements
 /// per transaction (recorded as txn/s per batch size, so both the
 /// per-commit floor and the per-statement cost are visible in the
-/// trajectory), plus snapshot-reader scaling — range-query q/s at 1 vs 4
-/// reader threads
-/// racing one continuous transactional writer. Snapshot-isolation reads
-/// take a frozen lock-map view instead of blocking on writer locks, so the
-/// 1→4 ratio should track the concurrent (auto-commit) section's scaling
-/// rather than collapse toward 1.
+/// trajectory), plus reader scaling — range-query q/s at 1 vs 4 reader
+/// threads racing one continuous transactional writer. Readers share the
+/// visibility latch instead of blocking on writer locks, so the 1→4 ratio
+/// should track the concurrent (auto-commit) section's scaling rather than
+/// collapse toward 1. The `visibility` cell is [`visibility_metrics`].
 fn txn_metrics(rows: usize) -> String {
     let shared = SharedDatabase::new(build_mem_simple(rows));
     let mut next_pk = 30_000_000i64;
@@ -450,10 +449,47 @@ fn txn_metrics(rows: usize) -> String {
     let scaling = reader_qps[1] / reader_qps[0];
     println!("txn    snapshot reader scaling 1 -> 4 threads: {scaling:.2}x");
     format!(
-        "{{{}, \"readers_1_qps\": {:.1}, \"readers_4_qps\": {:.1}, \"snapshot_scaling_1_to_4\": {scaling:.2}}}",
+        "{{{}, \"readers_1_qps\": {:.1}, \"readers_4_qps\": {:.1}, \"snapshot_scaling_1_to_4\": {scaling:.2}, \"visibility\": {}}}",
         batch_fields.join(", "),
         reader_qps[0],
-        reader_qps[1]
+        reader_qps[1],
+        visibility_metrics(rows)
+    )
+}
+
+/// Cost of visibility filtering: auto-commit `execute` range q/s while one
+/// open transaction holds 100 k pk locks, and with no lock held once it
+/// has committed. Its rows lie above every queried band, so both cells see
+/// the same heap and return identical rows; `visibility_100k_over_0` is
+/// what an unrelated open transaction costs a reader.
+fn visibility_metrics(rows: usize) -> String {
+    const LOCKS: i64 = 100_000;
+    let db = build_mem_simple(rows);
+    let (queries, _) = queries_for((0.0, (rows - 1) as f64), 2, 0x7A11);
+    let answers =
+        |db: &Database| -> Vec<_> { queries.iter().map(|q| db.execute(q).rows).collect() };
+    let qps = |db: &Database| {
+        measure_ops_with(BUDGET, 4, 1_000_000, |i| {
+            std::hint::black_box(db.execute(&queries[i % queries.len()]).rows.len());
+        })
+    };
+    let txn = db.begin().expect("bench begin");
+    for k in 0..LOCKS {
+        let m = rows as f64 + 1.0 + k as f64;
+        db.insert_txn(txn, &[Value::Int(50_000_000 + k), Value::Float(2.0 * m), Value::Float(m)])
+            .expect("bench txn insert");
+    }
+    let locked_rows = answers(&db);
+    let locked = qps(&db);
+    db.commit_txn(txn).expect("bench commit");
+    assert_eq!(answers(&db), locked_rows, "the open transaction's rows fell inside a band");
+    let unlocked = qps(&db);
+    let ratio = locked / unlocked;
+    println!(
+        "txn    visibility: {unlocked:>10.0} q/s with 0 locks, {locked:>10.0} q/s with 100k locks ({ratio:.3}x)"
+    );
+    format!(
+        "{{\"locks_0_qps\": {unlocked:.1}, \"locks_100k_qps\": {locked:.1}, \"visibility_100k_over_0\": {ratio:.3}}}"
     )
 }
 

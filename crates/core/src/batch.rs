@@ -133,7 +133,7 @@ impl Database {
 
     /// Phases 3–4 of every index plan: primary-index resolution into
     /// `scratch.locs`, then page-ordered base-table validation of every
-    /// `recheck` conjunct. Rows invisible to the snapshot `view` are
+    /// `recheck` conjunct. Rows invisible to the reader's `view` are
     /// skipped silently — neither matches nor false positives, exactly as
     /// if the write had never happened.
     // hermit-lint: hot-path
@@ -141,7 +141,7 @@ impl Database {
         &self,
         recheck: &[RangePredicate],
         scratch: &mut BatchScratch,
-        view: &ReadView,
+        view: &ReadView<'_>,
         result: &mut QueryResult,
     ) {
         // Phase 3: primary-index resolution (logical scheme only).
@@ -168,14 +168,13 @@ impl Database {
         // access, with every recheck column read from the same row view.
         let t3 = Instant::now();
         let locs = &scratch.locs;
-        let filtering = view.is_filtering();
         let pk_col = self.pk_col();
         result.rows.reserve(locs.len());
         self.heap().for_each_row_batch(locs, &mut scratch.order, |i, row| match row {
             None => result.unresolved += 1,
             Some(row) => {
-                if filtering && row.value(pk_col).as_i64().is_some_and(|pk| !view.visible_pk(pk)) {
-                    // Invisible to this snapshot: skip silently.
+                if !view.visible_row(&row, pk_col) {
+                    // Invisible to this reader: skip silently.
                 } else if recheck.iter().all(|p| p.matches(row.f64(p.column))) {
                     result.rows.push(locs[i]);
                 } else {

@@ -223,9 +223,9 @@ pub struct Database {
     /// quiesce latch (read side) across the heap apply + WAL append so a
     /// checkpoint observes no half-logged statements.
     pub(crate) durability: Option<crate::recovery::Durability>,
-    /// Transaction table: ids, per-pk write locks, undo bookkeeping, and
-    /// snapshot-visibility views (see [`crate::txn`]). Always present —
-    /// with no open transactions every hook is a lock-free fast path.
+    /// Transaction table: ids, per-pk write locks (which are the read
+    /// view), and undo bookkeeping (see [`crate::txn`]). Always present —
+    /// with no pk locked, reads skip the per-row visibility check.
     pub(crate) txns: TxnManager,
 }
 

@@ -3,7 +3,7 @@
 //!
 //! [`Database::execute`], [`Database::execute_plan`],
 //! [`Database::execute_batch`] and [`Database::execute_for_txn`] all run a
-//! [`QueryPlan`] through the same function, under one snapshot view and
+//! [`QueryPlan`] through the same function, under one read view and
 //! with one set of reusable scratch buffers (see [`crate::batch`]):
 //!
 //! 1. *TRS-Tree lookup* (Hermit route only) — translate the target
@@ -15,7 +15,7 @@
 //!    tids to row locations.
 //! 4. *Base-table validation* — visit the candidates page by page and
 //!    re-check every conjunct, discarding false positives and rows the
-//!    snapshot cannot see.
+//!    reader cannot see.
 //!
 //! The baseline's index hits are exact on the driving predicate, but the
 //! tuples are still fetched: a real query returns rows, not tids, and that
@@ -105,10 +105,10 @@ impl Database {
     /// Execute an already-built [`QueryPlan`] (plan once with
     /// [`plan`](Self::plan), execute many times).
     ///
-    /// Reads are snapshot-filtered as an auto-commit reader: another
+    /// Reads are filtered as an auto-commit reader: another
     /// transaction's uncommitted inserts are invisible and its pending
-    /// deletes still visible (see [`crate::txn`]). With no open
-    /// transactions the view is a lock-free no-op.
+    /// deletes still visible (see [`crate::txn`]). With no pk locked the
+    /// view filters nothing.
     /// [`execute_for_txn`](Self::execute_for_txn) reads *as* a transaction
     /// instead.
     pub fn execute_plan(&self, plan: &QueryPlan) -> QueryResult {
@@ -133,9 +133,9 @@ impl Database {
         owner: Option<u64>,
         scratch: &mut BatchScratch,
     ) -> QueryResult {
-        // The frozen view stays in lockstep with the heap until the last
-        // row is validated (see `crate::txn`).
-        let _vis = self.txns.read_visibility();
+        // The view holds the shared side of the visibility latch until the
+        // last row is validated (see `crate::txn`); it must not escape.
+        let _witness = crate::latches::witness_token(25);
         let view = self.txns.read_view(owner);
         let mut result = QueryResult::default();
         match &plan.access {
@@ -176,26 +176,25 @@ impl Database {
 
     /// The scan plan: stream every live heap row, validating all conjuncts
     /// in-scan. Exact (no false positives, nothing unresolved), and the
-    /// only path that honors `limit` by stopping early. Rows the snapshot
+    /// only path that honors `limit` by stopping early. Rows the reader's
     /// `view` cannot see are skipped before predicate evaluation and do
     /// not count toward the limit.
     fn run_scan_into(
         &self,
         checks: &[RangePredicate],
         limit: Option<usize>,
-        view: &ReadView,
+        view: &ReadView<'_>,
         result: &mut QueryResult,
     ) {
         let t = Instant::now();
         let limit = limit.unwrap_or(usize::MAX);
-        let filtering = view.is_filtering();
         let pk_col = self.pk_col();
         let rows = &mut result.rows;
         if limit > 0 {
             // Unreadable pages are skipped, as everywhere on the read path.
             let _ = self.heap().for_each_live_row(|loc, row| {
-                if filtering && row.value(pk_col).as_i64().is_some_and(|pk| !view.visible_pk(pk)) {
-                    return true; // invisible to this snapshot; keep scanning
+                if !view.visible_row(&row, pk_col) {
+                    return true; // invisible to this reader; keep scanning
                 }
                 if checks.iter().all(|p| p.matches(row.f64(p.column))) {
                     rows.push(loc);

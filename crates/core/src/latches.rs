@@ -15,6 +15,7 @@
 //! |-----:|-------|--------------|------------------|
 //! | 10 | durability quiesce | `quiesce_read()`, `quiesce.read()`, `quiesce.write()` | yes |
 //! | 20 | WAL guard | `wal_guard()`, `wal.lock()` | yes |
+//! | 25 | txn visibility (the `hermit_txn` lock table) | `read_view(owner)`, `write_visibility()` | yes |
 //! | 30 | composite-index registry | `composites()`, `composites_mut()`, `composites.read()`, `composites.write()` | no |
 //! | 40 | per-index latch | `tree.read()`, `tree.write()`, `host_tree.read()` | no |
 //! | 50 | primary index | `primary()`, `primary.read()`, `primary.write()` | no |
@@ -25,7 +26,8 @@
 //!
 //! * **DML** (`Database::insert_timed`, `delete_by_pk`, the `_txn`
 //!   variants): quiesce (read) → WAL guard, both held across the heap
-//!   apply + WAL append; the apply step then takes heap / primary /
+//!   apply + WAL append; the `_txn` variants then take the visibility
+//!   latch (exclusive) around the apply, which takes heap / primary /
 //!   per-index / registry latches transiently. The WAL guard sits *above*
 //!   the data latches deliberately — apply order and log order must be the
 //!   same total order (see `Durability::wal_guard` in
@@ -37,11 +39,11 @@
 //! * **Composite reorganization** (`SharedDatabase::maintenance_pass`):
 //!   registry (write) → heap (read) — the rebuild scans the base table
 //!   under the registry latch so a racing insert cannot be erased.
-//! * **Query execution** (`Database::execute_plan`): no data-latch
-//!   nesting at all. Phases 1–2 copy candidate tids out of each index
-//!   guard and release it; phase 3 takes the primary index and phase 4 the
-//!   heap only afterwards, which is why `(40, 50)`, `(40, 60)` and
-//!   `(50, 60)` are *not* declared in [`LATCH_NESTING_EDGES`].
+//! * **Query execution** (`Database::run_plan`): the visibility latch
+//!   (shared) throughout, and no data-latch nesting below it. Phases 1–2
+//!   copy candidate tids out of each index guard and release it; phase 3
+//!   takes the primary index and phase 4 the heap only afterwards, which is
+//!   why `(40, 50)`, `(40, 60)`, `(50, 60)` are *not* declared below.
 //!
 //! Latches *internal* to one component (buffer-pool shards, the
 //! `ConcurrentTrsTree` node latches, the transaction-table mutex, the page
@@ -85,12 +87,13 @@ pub struct LatchLevel {
     /// Final path segment of receivers whose `.read()` / `.write()` /
     /// `.lock()` acquires this latch (`self.primary.write()` → `primary`).
     pub receivers: &'static [&'static str],
-    /// Guard-returning no-argument methods that acquire this latch
+    /// Guard-returning methods that acquire this latch
     /// (`d.wal_guard()` → `wal_guard`).
     pub methods: &'static [&'static str],
     /// Whether this latch may be held across fsync / WAL-append calls.
     /// Only the top of the hierarchy is: the quiesce latch and the WAL
-    /// guard exist precisely to bracket durable statements. Holding a data
+    /// guard exist precisely to bracket durable statements, and the
+    /// visibility latch brackets a commit's publication. Holding a data
     /// latch (heap, indexes) across device I/O stalls every reader behind
     /// an fsync and is flagged by `hermit-lint`'s `latch-hold-io` rule.
     pub io_safe: bool,
@@ -111,6 +114,16 @@ pub const LATCH_HIERARCHY: &[LatchLevel] = &[
         name: "wal-guard",
         receivers: &["wal"],
         methods: &["wal_guard"],
+        io_safe: true,
+    },
+    // The `hermit_txn` pk lock table, which is the read view. Commit holds it
+    // across the commit fsync so a commit publishes all-or-nothing; readers
+    // stall behind that fsync (ROADMAP item 4).
+    LatchLevel {
+        rank: 25,
+        name: "txn-visibility",
+        receivers: &[],
+        methods: &["read_view", "write_visibility"],
         io_safe: true,
     },
     LatchLevel {
@@ -172,12 +185,18 @@ pub fn level(rank: u32) -> &'static LatchLevel {
 /// fiction). Keep this list sorted.
 pub const LATCH_NESTING_EDGES: &[(u32, u32)] = &[
     (10, 20), // DML + checkpoint: quiesce, then the WAL guard
+    (10, 25), // durable txn DML: visibility latch under the quiesce latch
     (10, 30), // durable DML: registry probe under quiesce + WAL guard
     (10, 40), // durable DML: per-index maintenance under quiesce + WAL guard
     (10, 50), // durable DML: primary-index maintenance under the brackets
+    (20, 25), // durable txn DML: visibility latch under the WAL guard
     (20, 30), // same apply steps, seen from under the WAL guard
     (20, 40),
     (20, 50),
+    (25, 30), // query or txn apply: registry probe under the visibility latch
+    (25, 40), // query phase 2 or txn apply: per-index latch under it
+    (25, 50), // query phase 3 or txn apply: primary index under it
+    (25, 60), // query phase 4 or txn apply on the mem heap: heap under it
     (30, 60), // composite reorganization: heap scan under the registry latch
               // Absent on purpose, per the reconciliation test:
               // * (10, 60) / (20, 60) — the durable substrate is paged, and the
@@ -254,6 +273,12 @@ impl Drop for HeldLatch {
             }
         });
     }
+}
+
+/// Witness token for a latch whose guard lives outside this crate (rank 25).
+/// Bind it before the guard, so the guard drops first, as in [`Witnessed`].
+pub(crate) fn witness_token(rank: u32) -> HeldLatch {
+    note_acquire(level(rank))
 }
 
 /// Record an acquisition on the witness stack; returns the pop token.
@@ -442,7 +467,7 @@ mod tests {
     #[test]
     fn only_the_statement_brackets_are_io_safe() {
         for l in LATCH_HIERARCHY {
-            assert_eq!(l.io_safe, l.rank <= 20, "{} io_safe flag out of policy", l.name);
+            assert_eq!(l.io_safe, l.rank <= 25, "{} io_safe flag out of policy", l.name);
         }
     }
 

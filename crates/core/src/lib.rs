@@ -33,9 +33,9 @@
 //! baseline index, a composite box scan, or a sequential-scan fallback;
 //! [`Database::execute`], [`Database::execute_plan`] and
 //! [`Database::execute_batch`] run every plan through one page-grouped,
-//! snapshot-filtered pipeline ([`executor`], [`batch`]).
+//! visibility-filtered pipeline ([`executor`], [`batch`]).
 //!
-//! [`txn`] adds multi-statement transactions on top: snapshot-isolation
+//! [`txn`] adds multi-statement transactions on top: read-committed
 //! reads, first-writer-wins write locks, WAL commit records, and loser
 //! rollback on recovery ([`Database::begin`] / [`Database::commit_txn`] /
 //! [`Database::rollback_txn`]).

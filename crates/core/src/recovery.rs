@@ -691,7 +691,7 @@ impl Database {
                 }
                 // Never reuse an id that still appears in this log
                 // generation.
-                db.txns().seed_next_id(max_txn + 1);
+                db.txns.seed_next_id(max_txn + 1);
                 WalWriter::open_append(&wal_path, replay.epoch, replay.valid_len)?
             }
             None => WalWriter::create(&wal_path, catalog.wal_epoch)?,

@@ -146,7 +146,7 @@ impl SharedDatabase {
     }
 
     /// Commit an open transaction: apply its deferred deletes, make its
-    /// writes visible to snapshot readers, and force the WAL commit record
+    /// writes visible to every later statement, and force the WAL commit record
     /// durable (on durable databases).
     pub fn commit(&self, txn: u64) -> Result<(), crate::CoreError> {
         self.inner.commit_txn(txn)

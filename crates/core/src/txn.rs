@@ -1,5 +1,5 @@
 //! Multi-statement transactions over one [`Database`]: begin / commit /
-//! rollback, transactional DML, and snapshot reads.
+//! rollback, transactional DML, and read-committed reads.
 //!
 //! The bookkeeping (ids, per-pk write locks, undo lists, visibility views)
 //! lives in [`hermit_txn`]; this module is the integration with the engine
@@ -21,7 +21,7 @@
 //!   reader until commit (see [`hermit_txn::ReadView`]).
 //! * **Delete of a pre-existing row** — *deferred*: the pk is locked and
 //!   the pre-image parked, but the row stays physically present (and
-//!   visible to other snapshots) until commit, when it is logged as
+//!   visible to other readers) until commit, when it is logged as
 //!   `TxnDelete` (carrying the full pre-image) and applied under the same
 //!   WAL guard as the commit record. The pre-image rides in the record
 //!   because the pool may steal the tombstoned page before the commit
@@ -53,22 +53,19 @@
 //! checkpoint can never bake an uncommitted write into the new epoch while
 //! discarding its undo information with the old log.
 //!
-//! # Isolation
+//! # Isolation: read committed
 //!
-//! Reads are snapshot-isolated at statement granularity: a query freezes
-//! the dirty-pk overlay ([`TxnManager::read_view`]) once and filters
-//! validation against it, so it never sees another transaction's
-//! uncommitted insert and keeps seeing rows another transaction has
-//! pending-deleted. The overlay is kept in lockstep with the heap by the
-//! manager's *visibility latch*: queries hold the shared side for their
-//! whole execution while transactional physical applies and commit/abort
-//! publication hold the exclusive side, so a reader observes every
-//! transaction all-or-nothing — never a row applied after its freeze, never
-//! a half-published commit. (Auto-commit DML is already atomic per
-//! statement and skips the latch; its rows may appear between two queries
-//! but never mid-validation of one.) Writers conflict first-writer-wins
-//! per pk — no lock
-//! queues, hence no deadlocks; losers get
+//! Each statement reads only committed data plus its own transaction's
+//! writes, and sees every other transaction all-or-nothing; two statements
+//! of one transaction may see different committed states. A query filters
+//! validation through a [`hermit_txn::ReadView`]: the live pk lock table,
+//! held under the shared side of the *visibility latch* for the whole
+//! query. Every lock change, transactional physical apply and commit/abort
+//! publication holds the exclusive side, so none of them lands under a
+//! running query. (Auto-commit DML is atomic per statement and only
+//! probes the lock table for a conflict; its rows may appear between two
+//! queries but never mid-validation of one.) Writers conflict
+//! first-writer-wins per pk — no lock queues, hence no deadlocks; losers get
 //! [`StorageError::WriteConflict`] and may retry. On a non-durable
 //! database the duplicate-pk pre-checks are best-effort (there is no WAL
 //! guard serializing them); on a durable database every write path holds
@@ -79,10 +76,11 @@ use crate::breakdown::InsertBreakdown;
 use crate::database::Database;
 use crate::error::CoreError;
 use crate::executor::QueryResult;
+use crate::latches;
 use crate::plan::QueryPlan;
 use hermit_storage::wal::WalRecord;
 use hermit_storage::{StorageError, Tid, Value};
-use hermit_txn::{DeleteMode, TxnCounters, TxnManager, Undo};
+use hermit_txn::{DeleteMode, TxnCounters, Undo};
 
 impl Database {
     /// The transaction manager's counter snapshot (begins / commits /
@@ -94,11 +92,6 @@ impl Database {
     /// Number of currently open transactions.
     pub fn txn_active(&self) -> usize {
         self.txns.active()
-    }
-
-    /// Borrow the transaction manager (crate-internal integration hook).
-    pub(crate) fn txns(&self) -> &TxnManager {
-        &self.txns
     }
 
     /// Open a transaction and return its id.
@@ -119,7 +112,8 @@ impl Database {
         if let Some((d, _quiesce, wal)) = statement.as_mut() {
             if let Err(e) = d.log(wal, &WalRecord::TxnBegin { txn }) {
                 let _ = self.txns.start_abort(txn);
-                let _ = self.txns.finish_abort(txn);
+                let _witness = latches::witness_token(25);
+                let _ = self.txns.write_visibility().finish_abort(txn);
                 return Err(e.into());
             }
         }
@@ -156,22 +150,26 @@ impl Database {
             // conflict.
             return Err(StorageError::WriteConflict { pk }.into());
         }
-        self.txns.note_insert(txn, pk)?;
+        // Lock under the exclusive side of the visibility latch, released
+        // again for the WAL append, which may fsync at a batch boundary.
+        let witness = latches::witness_token(25);
+        self.txns.write_visibility().note_insert(txn, pk)?;
+        drop(witness);
         if let Some((d, _quiesce, wal)) = statement.as_mut() {
             if let Err(e) = d.log(wal, &WalRecord::TxnInsert { txn, row: row.to_vec() }) {
                 // Nothing was applied: unwind the lock and undo entry so
                 // the failed statement leaves no trace.
-                self.txns.forget_insert(txn, pk);
+                let _witness = latches::witness_token(25);
+                self.txns.write_visibility().forget_insert(txn, pk);
                 return Err(e.into());
             }
         }
-        // Apply after the record is down, under the exclusive side of the
-        // visibility latch: a query that froze its view before this
-        // statement locked the pk would not filter the row, so the physical
-        // apply must wait until that query has drained. If the apply itself
-        // fails the undo entry stays: its delete-if-present compensation is
-        // a no-op for a row that never landed, and recovery's redo-then-undo
+        // Apply after the record is down, again under the exclusive side, so
+        // no query sees a half-applied row. If the apply itself fails the
+        // undo entry stays: its delete-if-present compensation is a no-op
+        // for a row that never landed, and recovery's redo-then-undo
         // converges on the same rolled-back state.
+        let _witness = latches::witness_token(25);
         let _vis = self.txns.write_visibility();
         let tid = self.apply_insert(row, pk, &mut InsertBreakdown::default())?;
         Ok(tid)
@@ -204,10 +202,11 @@ impl Database {
         }
         // Exclusive visibility latch across lock + apply: `lock_delete`
         // flips an own-insert's lock kind to `Delete` (visible-to-others)
-        // before the physical delete lands, and a view frozen inside that
-        // gap would read a row no transaction ever committed.
-        let _vis = self.txns.write_visibility();
-        match self.txns.lock_delete(txn, pk)? {
+        // before the physical delete lands, and a query inside that gap
+        // would read a row no transaction ever committed.
+        let _witness = latches::witness_token(25);
+        let mut vis = self.txns.write_visibility();
+        match vis.lock_delete(txn, pk)? {
             DeleteMode::OwnInsert => {
                 // The row was this txn's own insert: no other reader ever
                 // saw it, so the physical delete applies now. Log first
@@ -239,8 +238,8 @@ impl Database {
 
     /// Commit transaction `txn`: apply + log the deferred deletes, append
     /// the `TxnCommit` record, and **force the WAL fsync boundary** so the
-    /// acknowledgement survives a crash. Locks release and the visibility
-    /// watermark advances only after the commit record is durable.
+    /// acknowledgement survives a crash. Locks release only after the
+    /// commit record is durable.
     ///
     /// On failure the transaction stays open with a sound undo list — the
     /// caller should [`rollback_txn`](Self::rollback_txn) (which works even
@@ -256,7 +255,8 @@ impl Database {
         // Exclusive visibility latch across apply + publication: a reader
         // must see the whole commit (deferred deletes applied, locks gone)
         // or none of it, never a half-committed transaction.
-        let _vis = self.txns.write_visibility();
+        let _witness = latches::witness_token(25);
+        let mut vis = self.txns.write_visibility();
         let pending = self.txns.start_commit(txn)?;
         for (pk, row) in pending {
             if let Some((d, _quiesce, wal)) = statement.as_mut() {
@@ -269,7 +269,7 @@ impl Database {
         if let Some((d, _quiesce, wal)) = statement.as_mut() {
             d.log_txn_commit(wal, txn)?;
         }
-        self.txns.finish_commit(txn)?;
+        vis.finish_commit(txn)?;
         Ok(())
     }
 
@@ -285,7 +285,8 @@ impl Database {
         let mut statement = self.durability.as_ref().map(|d| (d, d.quiesce_read(), d.wal_guard()));
         // Exclusive visibility latch across undo + publication, for the
         // same all-or-nothing reason as commit.
-        let _vis = self.txns.write_visibility();
+        let _witness = latches::witness_token(25);
+        let mut vis = self.txns.write_visibility();
         let undo = self.txns.start_abort(txn)?;
         self.apply_undo(&undo)?;
         let logged = match statement.as_mut() {
@@ -293,15 +294,15 @@ impl Database {
             _ => Ok(()),
         };
         drop(statement);
-        self.txns.finish_abort(txn)?;
+        vis.finish_abort(txn)?;
         logged?;
         Ok(())
     }
 
     /// Execute an already-built plan as transaction `txn`: the read view
-    /// is frozen with `txn` as the owner, so the transaction sees its own
-    /// uncommitted writes (inserts visible, pending deletes gone) on top of
-    /// the same snapshot rules every other reader gets.
+    /// has `txn` as its owner, so the transaction sees its own uncommitted
+    /// writes (inserts visible, pending deletes gone) on top of the same
+    /// read-committed rules every other reader gets.
     pub fn execute_for_txn(&self, plan: &QueryPlan, txn: u64) -> QueryResult {
         self.run_plan(plan, Some(txn), &mut BatchScratch::default())
     }
@@ -380,6 +381,27 @@ mod tests {
         assert_eq!(db.len(), 100);
         let c = db.txn_counters();
         assert_eq!((c.begins, c.commits, c.aborts, c.active), (1, 1, 0, 0));
+    }
+
+    #[test]
+    fn isolation_is_read_committed() {
+        // The shipped level: every statement sees the latest committed
+        // state plus its own writes, so one transaction's two reads of a
+        // band may differ (a non-repeatable read, which snapshot isolation
+        // would forbid), but never an uncommitted row of another.
+        let db = indexed_db(100);
+        let band = db.plan(&Query::filter(RangePredicate::range(2, 50.0, 60.0)));
+        let t1 = db.begin().unwrap();
+        db.insert_txn(t1, &[Value::Int(1_000), Value::Float(110.5), Value::Float(55.25)]).unwrap();
+        assert_eq!(db.execute_for_txn(&band, t1).rows.len(), 12, "T1 sees its own insert");
+        let t2 = db.begin().unwrap();
+        db.insert_txn(t2, &[Value::Int(2_000), Value::Float(112.5), Value::Float(56.25)]).unwrap();
+        assert_eq!(db.execute_for_txn(&band, t1).rows.len(), 12, "no dirty read of T2");
+        assert_eq!(count(&db, 50.0, 60.0), 11, "auto-commit sees neither");
+        db.commit_txn(t2).unwrap();
+        assert_eq!(db.execute_for_txn(&band, t1).rows.len(), 13, "T1's next statement sees T2");
+        db.commit_txn(t1).unwrap();
+        assert_eq!(count(&db, 50.0, 60.0), 13);
     }
 
     #[test]

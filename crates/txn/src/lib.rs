@@ -2,7 +2,7 @@
 //! Multi-statement transaction mechanism for the Hermit engine.
 //!
 //! This crate owns the *bookkeeping* of transactions — ids, the transaction
-//! table, per-pk write locks, undo records, and snapshot visibility — while
+//! table, per-pk write locks, undo records, and read visibility — while
 //! `hermit_core` owns their *integration*: routing DML through the manager,
 //! writing the `TxnBegin`/`TxnInsert`/`TxnDelete`/`TxnCommit`/`TxnAbort`
 //! records into the epoch-fenced WAL, and rolling losers back on recovery.
@@ -26,36 +26,38 @@
 //!   pre-image row). Rollback applies the list in reverse; the operations
 //!   are idempotent ("delete if present" / "insert if absent"), so a crash
 //!   mid-rollback re-converges when recovery runs the same undo again.
-//! * **Deferred deletes.** Deleting a row another snapshot may still read
+//! * **Deferred deletes.** Deleting a row other readers may still read
 //!   does not tombstone it in place — the pre-image must stay readable.
 //!   The delete parks in the txn's pending list and is applied (and WAL-
 //!   logged, carrying the full pre-image) at commit, under the same WAL
 //!   guard as the commit record. Deleting a row the *same* transaction
 //!   inserted applies immediately: no concurrent reader ever saw it.
-//! * **Snapshot visibility.** A [`ReadView`] is the lock/dirty table frozen
-//!   at query start plus the reader's own txn id. A pk dirtied by another
-//!   open transaction reads as its *committed* state (insert → invisible,
-//!   pending delete → still visible); the owner sees its own writes. When
-//!   no transaction is open the view is a no-op and queries skip the
-//!   overlay entirely.
-//! * **Visibility latch.** A frozen overlay only filters writes whose locks
-//!   existed at freeze time, so transactional *physical* mutations and
-//!   commit/abort publication hold the exclusive side of a reader-parallel
-//!   latch ([`TxnManager::write_visibility`]) while queries hold the shared
-//!   side ([`TxnManager::read_visibility`]) from view freeze through the
-//!   last validated row. An in-flight query therefore never observes a row
-//!   applied after its freeze, and commits/aborts become visible
-//!   all-or-nothing.
+//! * **Read committed.** A [`ReadView`] is the live lock table plus the
+//!   reader's own txn id. A pk locked by another open transaction reads as
+//!   its *committed* state (insert → invisible, pending delete → still
+//!   visible); the owner sees its own writes. Each statement takes a fresh
+//!   view, so two statements of one transaction may see different committed
+//!   states. When no pk is locked the view filters nothing.
+//! * **The lock table is the visibility latch.** It sits behind one
+//!   reader-parallel latch. A query holds the shared side
+//!   ([`TxnManager::read_view`]) from view creation through the last
+//!   validated row; every lock change goes through the exclusive side
+//!   ([`TxnManager::write_visibility`]), which `hermit_core` also holds
+//!   across each transactional *physical* apply and commit/abort
+//!   publication. An in-flight query therefore never observes a lock
+//!   change or a row applied after it started, and commits/aborts become
+//!   visible all-or-nothing. A thread holding a [`ReadView`] must not take
+//!   any other view or lock method: that deadlocks on itself.
 //!
 //! The counters ([`TxnCounters`]) feed the server's `Stats` exporter as
 //! `hermit_txn_begins` / `hermit_txn_commits` / `hermit_txn_aborts` /
 //! `hermit_txn_conflicts` and the `hermit_txn_active` gauge.
 
-use hermit_storage::Value;
+use hermit_storage::{ColumnId, RowRef, Value};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Transaction-management failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,7 +89,7 @@ impl fmt::Display for TxnError {
 impl std::error::Error for TxnError {}
 
 /// What kind of write an open transaction holds on a pk (drives both
-/// conflict detection and snapshot visibility).
+/// conflict detection and read visibility).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WriteKind {
     /// The txn inserted this pk (physically present, invisible to others).
@@ -124,7 +126,7 @@ pub enum DeleteMode {
     /// delete immediately (no other reader ever saw the row).
     OwnInsert,
     /// The row pre-exists the transaction: defer the physical delete to
-    /// commit so concurrent snapshots keep reading the pre-image.
+    /// commit so concurrent readers keep reading the pre-image.
     Deferred,
 }
 
@@ -139,9 +141,10 @@ struct OpenTxn {
 struct TableState {
     next_id: u64,
     open: HashMap<u64, OpenTxn>,
-    /// pk → (owning txn, kind). Doubles as the snapshot-visibility dirty map.
-    locks: HashMap<i64, (u64, WriteKind)>,
 }
+
+/// pk → (owning txn, kind): the write locks, and the read view itself.
+type LockTable = HashMap<i64, (u64, WriteKind)>;
 
 /// Monotonic counter snapshot for the metrics exporter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -159,18 +162,14 @@ pub struct TxnCounters {
 }
 
 /// The transaction table: id allocation, pk write locks, undo bookkeeping,
-/// and snapshot-visibility views. One per [`Database`](../hermit_core).
+/// and read views. One per [`Database`](../hermit_core).
+///
+/// Lock order: the lock table's latch first, then the `state` mutex, which
+/// is a leaf.
 pub struct TxnManager {
     state: Mutex<TableState>,
-    /// Visibility latch (see the module docs): queries shared, transactional
-    /// physical applies and commit/abort publication exclusive.
-    vis: RwLock<()>,
-    /// Mirror of `locks.len()`, readable without the mutex: the all-clear
-    /// fast path for [`read_view`](Self::read_view).
-    dirty: AtomicUsize,
-    /// Highest committed txn id (visibility watermark; everything at or
-    /// below it that is not in the dirty overlay is committed state).
-    watermark: AtomicU64,
+    /// The pk lock table behind the visibility latch (see the module docs).
+    locks: RwLock<LockTable>,
     begins: AtomicU64,
     commits: AtomicU64,
     aborts: AtomicU64,
@@ -187,14 +186,8 @@ impl TxnManager {
     /// Fresh manager with no open transactions; ids start at 1.
     pub fn new() -> Self {
         TxnManager {
-            state: Mutex::new(TableState {
-                next_id: 1,
-                open: HashMap::new(),
-                locks: HashMap::new(),
-            }),
-            vis: RwLock::new(()),
-            dirty: AtomicUsize::new(0),
-            watermark: AtomicU64::new(0),
+            state: Mutex::new(TableState { next_id: 1, open: HashMap::new() }),
+            locks: RwLock::new(HashMap::new()),
             begins: AtomicU64::new(0),
             commits: AtomicU64::new(0),
             aborts: AtomicU64::new(0),
@@ -229,11 +222,6 @@ impl TxnManager {
         self.state.lock().open.len()
     }
 
-    /// Highest committed transaction id.
-    pub fn watermark(&self) -> u64 {
-        self.watermark.load(Ordering::Acquire)
-    }
-
     /// Counter snapshot for the metrics exporter.
     pub fn counters(&self) -> TxnCounters {
         TxnCounters {
@@ -245,87 +233,19 @@ impl TxnManager {
         }
     }
 
+    fn conflict(&self, pk: i64) -> TxnError {
+        self.conflicts.fetch_add(1, Ordering::Relaxed);
+        TxnError::Conflict { pk }
+    }
+
     /// Guard for **auto-commit** (non-transactional) DML: fails with
     /// [`TxnError::Conflict`] when `pk` is write-locked by an open
     /// transaction.
     pub fn check_unlocked(&self, pk: i64) -> Result<(), TxnError> {
-        if self.dirty.load(Ordering::Acquire) == 0 {
-            return Ok(());
-        }
-        if self.state.lock().locks.contains_key(&pk) {
-            self.conflicts.fetch_add(1, Ordering::Relaxed);
-            return Err(TxnError::Conflict { pk });
+        if self.locks.read().contains_key(&pk) {
+            return Err(self.conflict(pk));
         }
         Ok(())
-    }
-
-    /// Lock `pk` for insert by `txn` and push its undo record. Fails on any
-    /// existing lock (another txn's, or a second write by the same txn —
-    /// each txn writes a pk at most once, except delete-after-own-insert).
-    pub fn note_insert(&self, txn: u64, pk: i64) -> Result<(), TxnError> {
-        let mut s = self.state.lock();
-        if !s.open.contains_key(&txn) {
-            return Err(TxnError::UnknownTxn { txn });
-        }
-        if s.locks.contains_key(&pk) {
-            self.conflicts.fetch_add(1, Ordering::Relaxed);
-            return Err(TxnError::Conflict { pk });
-        }
-        s.locks.insert(pk, (txn, WriteKind::Insert));
-        self.dirty.store(s.locks.len(), Ordering::Release);
-        let t = s.open.get_mut(&txn).ok_or(TxnError::UnknownTxn { txn })?;
-        t.undo.push(Undo::Insert { pk });
-        t.locked.push(pk);
-        Ok(())
-    }
-
-    /// Undo the lock and bookkeeping of a [`note_insert`](Self::note_insert)
-    /// whose WAL append failed before anything was applied.
-    pub fn forget_insert(&self, txn: u64, pk: i64) {
-        let mut s = self.state.lock();
-        if let Some((owner, WriteKind::Insert)) = s.locks.get(&pk).copied() {
-            if owner == txn {
-                s.locks.remove(&pk);
-                self.dirty.store(s.locks.len(), Ordering::Release);
-            }
-        }
-        if let Some(t) = s.open.get_mut(&txn) {
-            if t.undo.last() == Some(&Undo::Insert { pk }) {
-                t.undo.pop();
-                t.locked.retain(|&p| p != pk);
-            }
-        }
-    }
-
-    /// Lock `pk` for delete by `txn`: decides between the immediate
-    /// (own-insert) and deferred (pre-existing row) execution modes.
-    pub fn lock_delete(&self, txn: u64, pk: i64) -> Result<DeleteMode, TxnError> {
-        let mut s = self.state.lock();
-        if !s.open.contains_key(&txn) {
-            return Err(TxnError::UnknownTxn { txn });
-        }
-        match s.locks.get(&pk).copied() {
-            Some((owner, _)) if owner != txn => {
-                self.conflicts.fetch_add(1, Ordering::Relaxed);
-                Err(TxnError::Conflict { pk })
-            }
-            Some((_, WriteKind::Delete)) => {
-                // Double delete by the same txn; the caller normally catches
-                // this earlier as "pk not visible", this is the backstop.
-                self.conflicts.fetch_add(1, Ordering::Relaxed);
-                Err(TxnError::Conflict { pk })
-            }
-            Some((_, WriteKind::Insert)) => {
-                s.locks.insert(pk, (txn, WriteKind::Delete));
-                Ok(DeleteMode::OwnInsert)
-            }
-            None => {
-                s.open.get_mut(&txn).ok_or(TxnError::UnknownTxn { txn })?.locked.push(pk);
-                s.locks.insert(pk, (txn, WriteKind::Delete));
-                self.dirty.store(s.locks.len(), Ordering::Release);
-                Ok(DeleteMode::Deferred)
-            }
-        }
     }
 
     /// Record the undo for a physically-applied delete (own-insert deletes,
@@ -348,39 +268,23 @@ impl TxnManager {
     /// Whether `txn` holds a **pending (deferred) delete** on `pk` — i.e.
     /// the row is still physically present but the owner must not see it.
     pub fn has_pending_delete(&self, txn: u64, pk: i64) -> bool {
-        let s = self.state.lock();
-        matches!(s.locks.get(&pk), Some(&(owner, WriteKind::Delete)) if owner == txn)
+        matches!(self.locks.read().get(&pk), Some(&(owner, WriteKind::Delete)) if owner == txn)
     }
 
     /// Start committing: returns the deferred deletes to apply (in
     /// statement order). The txn stays open and locked; call
     /// [`note_applied_delete`](Self::note_applied_delete) as each lands and
-    /// [`finish_commit`](Self::finish_commit) once the commit record is in
-    /// the WAL.
+    /// [`WriteVisibility::finish_commit`] once the commit record is in the
+    /// WAL.
     pub fn start_commit(&self, txn: u64) -> Result<Vec<(i64, Vec<Value>)>, TxnError> {
         let mut s = self.state.lock();
         let t = s.open.get_mut(&txn).ok_or(TxnError::UnknownTxn { txn })?;
         Ok(std::mem::take(&mut t.pending))
     }
 
-    /// Finish a commit: release locks, close the txn, bump the watermark.
-    pub fn finish_commit(&self, txn: u64) -> Result<(), TxnError> {
-        let mut s = self.state.lock();
-        let t = s.open.remove(&txn).ok_or(TxnError::UnknownTxn { txn })?;
-        for pk in &t.locked {
-            if matches!(s.locks.get(pk), Some(&(owner, _)) if owner == txn) {
-                s.locks.remove(pk);
-            }
-        }
-        self.dirty.store(s.locks.len(), Ordering::Release);
-        self.commits.fetch_add(1, Ordering::Relaxed);
-        self.watermark.fetch_max(txn, Ordering::AcqRel);
-        Ok(())
-    }
-
     /// Start a rollback: returns the undo list in **push order** (apply it
     /// in reverse). The txn stays open and locked until
-    /// [`finish_abort`](Self::finish_abort).
+    /// [`WriteVisibility::finish_abort`].
     pub fn start_abort(&self, txn: u64) -> Result<Vec<Undo>, TxnError> {
         let mut s = self.state.lock();
         let t = s.open.get_mut(&txn).ok_or(TxnError::UnknownTxn { txn })?;
@@ -388,73 +292,124 @@ impl TxnManager {
         Ok(std::mem::take(&mut t.undo))
     }
 
-    /// Finish a rollback: release locks and close the txn.
-    pub fn finish_abort(&self, txn: u64) -> Result<(), TxnError> {
-        let mut s = self.state.lock();
-        let t = s.open.remove(&txn).ok_or(TxnError::UnknownTxn { txn })?;
-        for pk in &t.locked {
-            if matches!(s.locks.get(pk), Some(&(owner, _)) if owner == txn) {
-                s.locks.remove(pk);
-            }
+    /// Shared side of the visibility latch: the live lock table as a read
+    /// view for `owner` (`None` = auto-commit reader). A query holds it
+    /// until its last row is validated; while held, no transaction can
+    /// change a lock, physically apply a write, or publish a commit/abort.
+    pub fn read_view(&self, owner: Option<u64>) -> ReadView<'_> {
+        ReadView { owner, locks: self.locks.read() }
+    }
+
+    /// Exclusive side of the visibility latch. Every lock change is a
+    /// method of the returned guard; `hermit_core` also holds it across
+    /// every transactional **physical** mutation (statement apply, commit's
+    /// deferred-delete application, rollback's undo) together with the
+    /// lock release that publishes it, so running queries never observe a
+    /// half-applied or half-published transaction.
+    pub fn write_visibility(&self) -> WriteVisibility<'_> {
+        WriteVisibility { manager: self, locks: self.locks.write() }
+    }
+}
+
+/// The exclusive side of the visibility latch, from
+/// [`TxnManager::write_visibility`]: the only way to change a lock.
+pub struct WriteVisibility<'a> {
+    manager: &'a TxnManager,
+    locks: RwLockWriteGuard<'a, LockTable>,
+}
+
+impl WriteVisibility<'_> {
+    /// Lock `pk` for insert by `txn` and push its undo record. Fails on any
+    /// existing lock (another txn's, or a second write by the same txn —
+    /// each txn writes a pk at most once, except delete-after-own-insert).
+    pub fn note_insert(&mut self, txn: u64, pk: i64) -> Result<(), TxnError> {
+        let mut s = self.manager.state.lock();
+        let t = s.open.get_mut(&txn).ok_or(TxnError::UnknownTxn { txn })?;
+        if self.locks.contains_key(&pk) {
+            return Err(self.manager.conflict(pk));
         }
-        self.dirty.store(s.locks.len(), Ordering::Release);
-        self.aborts.fetch_add(1, Ordering::Relaxed);
+        self.locks.insert(pk, (txn, WriteKind::Insert));
+        t.undo.push(Undo::Insert { pk });
+        t.locked.push(pk);
         Ok(())
     }
 
-    /// Shared side of the visibility latch. A query holds this from the
-    /// moment it freezes its [`ReadView`] until its last row is validated:
-    /// while held, no transaction can physically apply a write or publish a
-    /// commit/abort, so the frozen overlay stays in lockstep with the heap
-    /// the query reads. Readers run in parallel; with no open transactions
-    /// the exclusive side is never taken and this is an uncontended read
-    /// lock.
-    pub fn read_visibility(&self) -> RwLockReadGuard<'_, ()> {
-        self.vis.read()
+    /// Undo the lock and bookkeeping of a [`note_insert`](Self::note_insert)
+    /// whose WAL append failed before anything was applied.
+    pub fn forget_insert(&mut self, txn: u64, pk: i64) {
+        if self.locks.get(&pk) == Some(&(txn, WriteKind::Insert)) {
+            self.locks.remove(&pk);
+        }
+        if let Some(t) = self.manager.state.lock().open.get_mut(&txn) {
+            if t.undo.last() == Some(&Undo::Insert { pk }) {
+                t.undo.pop();
+                t.locked.retain(|&p| p != pk);
+            }
+        }
     }
 
-    /// Exclusive side of the visibility latch, held across every
-    /// transactional **physical** mutation (statement apply, commit's
-    /// deferred-delete application, rollback's undo) together with the
-    /// lock-release that publishes it, so in-flight snapshots never observe
-    /// a half-applied or half-published transaction.
-    pub fn write_visibility(&self) -> RwLockWriteGuard<'_, ()> {
-        self.vis.write()
+    /// Lock `pk` for delete by `txn`: decides between the immediate
+    /// (own-insert) and deferred (pre-existing row) execution modes.
+    pub fn lock_delete(&mut self, txn: u64, pk: i64) -> Result<DeleteMode, TxnError> {
+        let mut s = self.manager.state.lock();
+        let t = s.open.get_mut(&txn).ok_or(TxnError::UnknownTxn { txn })?;
+        match self.locks.get(&pk).copied() {
+            // Another txn's lock, or a double delete by the same txn (the
+            // caller normally catches that earlier as "pk not visible";
+            // this is the backstop).
+            Some((owner, kind)) if owner != txn || kind == WriteKind::Delete => {
+                Err(self.manager.conflict(pk))
+            }
+            Some(_) => {
+                self.locks.insert(pk, (txn, WriteKind::Delete));
+                Ok(DeleteMode::OwnInsert)
+            }
+            None => {
+                t.locked.push(pk);
+                self.locks.insert(pk, (txn, WriteKind::Delete));
+                Ok(DeleteMode::Deferred)
+            }
+        }
     }
 
-    /// Snapshot the visibility overlay for a query. `owner` is the reading
-    /// transaction (or `None` for an auto-commit reader). When no
-    /// transaction holds any write lock this is a lock-free no-op view.
-    pub fn read_view(&self, owner: Option<u64>) -> ReadView {
-        if self.dirty.load(Ordering::Acquire) == 0 {
-            return ReadView { owner, dirty: None };
+    /// Finish a commit: release locks and close the txn.
+    pub fn finish_commit(&mut self, txn: u64) -> Result<(), TxnError> {
+        self.release(txn)?;
+        self.manager.commits.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Finish a rollback: release locks and close the txn.
+    pub fn finish_abort(&mut self, txn: u64) -> Result<(), TxnError> {
+        self.release(txn)?;
+        self.manager.aborts.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    fn release(&mut self, txn: u64) -> Result<(), TxnError> {
+        let t = self.manager.state.lock().open.remove(&txn).ok_or(TxnError::UnknownTxn { txn })?;
+        for pk in &t.locked {
+            if matches!(self.locks.get(pk), Some(&(owner, _)) if owner == txn) {
+                self.locks.remove(pk);
+            }
         }
-        let s = self.state.lock();
-        if s.locks.is_empty() {
-            return ReadView { owner, dirty: None };
-        }
-        ReadView { owner, dirty: Some(s.locks.clone()) }
+        Ok(())
     }
 }
 
-/// A frozen visibility overlay: the dirty/lock table at query start plus
-/// the reader's own transaction id. See the module docs for the rules.
-#[derive(Debug, Clone)]
-pub struct ReadView {
+/// A read view: the live lock table, held under the shared side of the
+/// visibility latch, plus the reader's own transaction id. See the module
+/// docs for the rules.
+pub struct ReadView<'a> {
     owner: Option<u64>,
-    dirty: Option<HashMap<i64, (u64, WriteKind)>>,
+    locks: RwLockReadGuard<'a, LockTable>,
 }
 
-impl ReadView {
+impl ReadView<'_> {
     /// Whether this view needs per-row pk checks at all. `false` is the
-    /// fast path: the executor skips the overlay entirely.
+    /// fast path: no pk is locked, every physically present row is visible.
     pub fn is_filtering(&self) -> bool {
-        self.dirty.is_some()
-    }
-
-    /// The reading transaction, if any.
-    pub fn owner(&self) -> Option<u64> {
-        self.owner
+        !self.locks.is_empty()
     }
 
     /// Is the physically-present row with this pk visible to the reader?
@@ -463,17 +418,17 @@ impl ReadView {
     /// * Another txn's insert → invisible; its pending delete → visible.
     /// * Own insert → visible; own delete → invisible (read-your-writes).
     pub fn visible_pk(&self, pk: i64) -> bool {
-        let Some(dirty) = &self.dirty else { return true };
-        match dirty.get(&pk) {
+        match self.locks.get(&pk) {
             None => true,
-            Some(&(owner, kind)) => {
-                let own = self.owner == Some(owner);
-                match kind {
-                    WriteKind::Insert => own,
-                    WriteKind::Delete => !own,
-                }
-            }
+            Some(&(owner, kind)) => (self.owner == Some(owner)) == (kind == WriteKind::Insert),
         }
+    }
+
+    /// The per-row check of every read path: is `row`, whose primary key
+    /// sits in column `pk_col`, visible to the reader? Rows without an
+    /// integer pk are never filtered.
+    pub fn visible_row(&self, row: &RowRef<'_>, pk_col: ColumnId) -> bool {
+        !self.is_filtering() || row.value(pk_col).as_i64().is_none_or(|pk| self.visible_pk(pk))
     }
 }
 
@@ -498,55 +453,80 @@ mod tests {
         let m = TxnManager::new();
         let a = m.begin();
         let b = m.begin();
-        m.note_insert(a, 7).unwrap();
-        assert_eq!(m.note_insert(b, 7), Err(TxnError::Conflict { pk: 7 }));
-        assert_eq!(m.lock_delete(b, 7), Err(TxnError::Conflict { pk: 7 }));
+        m.write_visibility().note_insert(a, 7).unwrap();
+        assert_eq!(m.write_visibility().note_insert(b, 7), Err(TxnError::Conflict { pk: 7 }));
+        assert_eq!(m.write_visibility().lock_delete(b, 7), Err(TxnError::Conflict { pk: 7 }));
         assert_eq!(m.check_unlocked(7), Err(TxnError::Conflict { pk: 7 }));
         assert!(m.check_unlocked(8).is_ok());
         assert_eq!(m.counters().conflicts, 3);
-        m.finish_commit(a).unwrap();
-        assert!(m.note_insert(b, 7).is_ok());
+        m.write_visibility().finish_commit(a).unwrap();
+        assert!(m.write_visibility().note_insert(b, 7).is_ok());
     }
 
     #[test]
     fn delete_modes() {
         let m = TxnManager::new();
         let t = m.begin();
-        m.note_insert(t, 1).unwrap();
-        assert_eq!(m.lock_delete(t, 1), Ok(DeleteMode::OwnInsert));
-        assert_eq!(m.lock_delete(t, 2), Ok(DeleteMode::Deferred));
-        assert!(m.has_pending_delete(t, 2));
+        let mut vis = m.write_visibility();
+        vis.note_insert(t, 1).unwrap();
+        assert_eq!(vis.lock_delete(t, 1), Ok(DeleteMode::OwnInsert));
+        assert_eq!(vis.lock_delete(t, 2), Ok(DeleteMode::Deferred));
         // Double delete is a conflict backstop.
-        assert_eq!(m.lock_delete(t, 2), Err(TxnError::Conflict { pk: 2 }));
+        assert_eq!(vis.lock_delete(t, 2), Err(TxnError::Conflict { pk: 2 }));
+        drop(vis);
+        assert!(m.has_pending_delete(t, 2));
     }
 
     #[test]
     fn visibility_rules() {
         let m = TxnManager::new();
         let t = m.begin();
-        m.note_insert(t, 1).unwrap();
-        m.lock_delete(t, 2).unwrap();
-
-        let other = m.read_view(None);
-        assert!(other.is_filtering());
-        assert!(!other.visible_pk(1), "another txn's insert is invisible");
-        assert!(other.visible_pk(2), "another txn's pending delete stays visible");
-        assert!(other.visible_pk(3), "untouched pk is visible");
-
-        let own = m.read_view(Some(t));
-        assert!(own.visible_pk(1), "own insert is visible");
-        assert!(!own.visible_pk(2), "own delete is invisible");
-
-        m.finish_abort(t).unwrap();
+        {
+            let mut vis = m.write_visibility();
+            vis.note_insert(t, 1).unwrap();
+            vis.lock_delete(t, 2).unwrap();
+        }
+        {
+            let other = m.read_view(None);
+            assert!(other.is_filtering());
+            assert!(!other.visible_pk(1), "another txn's insert is invisible");
+            assert!(other.visible_pk(2), "another txn's pending delete stays visible");
+            assert!(other.visible_pk(3), "untouched pk is visible");
+        }
+        {
+            let own = m.read_view(Some(t));
+            assert!(own.visible_pk(1), "own insert is visible");
+            assert!(!own.visible_pk(2), "own delete is invisible");
+        }
+        m.write_visibility().finish_abort(t).unwrap();
         assert!(!m.read_view(None).is_filtering(), "empty table is the fast path");
+    }
+
+    #[test]
+    fn visible_row_reads_the_pk_column() {
+        use hermit_storage::{ColumnDef, Schema, Table};
+        let schema = Schema::new(vec![ColumnDef::float_null("x"), ColumnDef::int("pk")]);
+        let mut table = Table::new(schema);
+        table.insert(&[Value::Null, Value::Int(7)]).unwrap();
+        let row = RowRef::Columnar { table: &table, idx: 0 };
+        let m = TxnManager::new();
+        assert!(m.read_view(None).visible_row(&row, 1), "no lock: nothing is filtered");
+        let t = m.begin();
+        m.write_visibility().note_insert(t, 7).unwrap();
+        {
+            let other = m.read_view(None);
+            assert!(!other.visible_row(&row, 1), "another txn's insert is invisible");
+            assert!(other.visible_row(&row, 0), "a NULL pk cell is never filtered");
+        }
+        assert!(m.read_view(Some(t)).visible_row(&row, 1), "own insert is visible");
     }
 
     #[test]
     fn undo_is_returned_in_push_order_and_pending_cleared_on_abort() {
         let m = TxnManager::new();
         let t = m.begin();
-        m.note_insert(t, 1).unwrap();
-        m.lock_delete(t, 2).unwrap();
+        m.write_visibility().note_insert(t, 1).unwrap();
+        m.write_visibility().lock_delete(t, 2).unwrap();
         m.note_pending_delete(t, 2, vec![Value::Int(2)]).unwrap();
         m.note_applied_delete(t, 1, vec![Value::Int(1)]).unwrap();
         let undo = m.start_abort(t).unwrap();
@@ -554,7 +534,7 @@ mod tests {
             undo,
             vec![Undo::Insert { pk: 1 }, Undo::Delete { pk: 1, row: vec![Value::Int(1)] }]
         );
-        m.finish_abort(t).unwrap();
+        m.write_visibility().finish_abort(t).unwrap();
         assert_eq!(m.active(), 0);
         assert!(m.check_unlocked(2).is_ok(), "locks released on abort");
     }
@@ -563,13 +543,13 @@ mod tests {
     fn commit_hands_back_pending_deletes() {
         let m = TxnManager::new();
         let t = m.begin();
-        m.lock_delete(t, 9).unwrap();
+        m.write_visibility().lock_delete(t, 9).unwrap();
         m.note_pending_delete(t, 9, vec![Value::Int(9)]).unwrap();
         let pending = m.start_commit(t).unwrap();
         assert_eq!(pending, vec![(9, vec![Value::Int(9)])]);
         m.note_applied_delete(t, 9, vec![Value::Int(9)]).unwrap();
-        m.finish_commit(t).unwrap();
-        assert_eq!(m.watermark(), t);
+        m.write_visibility().finish_commit(t).unwrap();
+        assert!(!m.read_view(None).is_filtering(), "commit released the lock");
         let c = m.counters();
         assert_eq!((c.begins, c.commits, c.aborts, c.active), (1, 1, 0, 0));
     }
@@ -577,8 +557,8 @@ mod tests {
     #[test]
     fn unknown_txn_is_typed() {
         let m = TxnManager::new();
-        assert_eq!(m.note_insert(42, 1), Err(TxnError::UnknownTxn { txn: 42 }));
+        assert_eq!(m.write_visibility().note_insert(42, 1), Err(TxnError::UnknownTxn { txn: 42 }));
         assert_eq!(m.start_commit(42), Err(TxnError::UnknownTxn { txn: 42 }));
-        assert_eq!(m.finish_abort(42), Err(TxnError::UnknownTxn { txn: 42 }));
+        assert_eq!(m.write_visibility().finish_abort(42), Err(TxnError::UnknownTxn { txn: 42 }));
     }
 }

@@ -3,7 +3,7 @@
 //! The static half of the same acceptance criterion lives in
 //! `crates/analysis/tests/lint.rs` (`seeding_a_cross_function_inversion_
 //! fails_the_lint`); this binary proves the dynamic half: holding the heap
-//! latch while a query takes the index latches contradicts
+//! latch while a query takes its latches contradicts
 //! [`hermit::core::latches::LATCH_HIERARCHY`], and debug builds must
 //! refuse to execute it.
 //!
@@ -33,9 +33,10 @@ fn build_db() -> Database {
     db
 }
 
-/// A heap guard held across a query, which takes the host-tree latch:
-/// rank 40 under rank 60. In panic mode the witness aborts the query; in
-/// count mode it records the violation and lets execution continue.
+/// A heap guard held across a query, which first takes the visibility
+/// latch and then the host-tree latch: ranks 25 and 40 under rank 60. In
+/// panic mode the witness aborts the query at the first; in count mode it
+/// records the violations and lets execution continue.
 #[test]
 fn heap_guard_held_across_query_is_caught() {
     if !cfg!(debug_assertions) {
@@ -45,8 +46,8 @@ fn heap_guard_held_across_query_is_caught() {
     let db = build_db();
 
     // Plan before taking the guard (planning reads the composite registry,
-    // rank 30), so the seeded inversion is exactly the executor's
-    // host-tree acquisition.
+    // rank 30), so the seeded inversion is exactly the executor's own
+    // acquisitions.
     let query = Query::filter(RangePredicate::range(2, 100.0, 200.0));
     let plan = db.plan(&query);
     assert_eq!(plan.kind(), PlanKind::Hermit, "the query must take the index latches");
@@ -58,7 +59,7 @@ fn heap_guard_held_across_query_is_caught() {
     let err = result.expect_err("witness must panic on the inversion");
     let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
     assert!(msg.contains("latch witness"), "unexpected panic: {msg}");
-    assert!(msg.contains("(rank 40)"), "expected the host-tree latch: {msg}");
+    assert!(msg.contains("(rank 25)"), "expected the visibility latch: {msg}");
     drop(guard);
 
     // Count mode: same inversion, recorded instead of fatal.

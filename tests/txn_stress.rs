@@ -4,10 +4,11 @@
 //! The properties under test are the transaction subsystem's contract
 //! (see `hermit_core::txn`):
 //!
-//! * **No dirty reads, atomic publication** — a snapshot reader never
-//!   observes an uncommitted row or a partially committed/rolled-back
-//!   transaction, even with writers running full tilt (the visibility
-//!   latch keeps the frozen overlay in lockstep with the heap).
+//! * **Read committed: no dirty reads, atomic publication** — a reader
+//!   never observes an uncommitted row or a partially committed/rolled-back
+//!   transaction, even with writers running full tilt (queries read the
+//!   live lock table under the visibility latch, which every lock change
+//!   and transactional apply takes exclusively).
 //! * **No lost updates** — contended writes are first-writer-wins; every
 //!   contested row is consumed exactly once and every winner's write
 //!   survives.
