@@ -22,8 +22,13 @@ use crate::lexer::{Token, TokenKind};
 use crate::scope::Func;
 use hermit_fault::CRASH_MATRIX_SITES;
 
-/// Syscalls that must be crash-testable.
-const DURABILITY_CALLS: &[&str] = &["sync_all", "sync_data", "rename", "write_all"];
+/// Syscalls that must be crash-testable (`fault-coverage`).
+const DURABILITY_CALLS: &[&str] =
+    &["sync_all", "sync_data", "sync_dir", "rename", "write_all", "write_all_at"];
+
+/// The fsync family: what `fsync-before-rename` wants to see before a
+/// `rename`.
+const SYNC_CALLS: &[&str] = &["sync_all", "sync_data", "sync_dir"];
 
 /// A `fault_point("site")` occurrence.
 pub struct FaultSite {
@@ -60,46 +65,39 @@ pub fn check_function(
         if p > 0 && tok(p - 1).is_ident("fn") {
             continue;
         }
-        match t.text.as_str() {
-            "fault_point" => {
-                fp_count += 1;
-                if p + 2 < eff.len() && tok(p + 2).kind == TokenKind::Str {
-                    sites.push(FaultSite {
-                        name: tok(p + 2).text.clone(),
-                        file: file.to_string(),
-                        line: tok(p + 2).line,
-                    });
-                }
+        let name = t.text.as_str();
+        if name == "fault_point" {
+            fp_count += 1;
+            if p + 2 < eff.len() && tok(p + 2).kind == TokenKind::Str {
+                sites.push(FaultSite {
+                    name: tok(p + 2).text.clone(),
+                    file: file.to_string(),
+                    line: tok(p + 2).line,
+                });
             }
-            "sync_all" | "sync_data" | "sync_dir" => {
-                io_calls.push(p);
-                sync_positions.push(p);
-            }
-            "rename" => {
-                io_calls.push(p);
-                if !sync_positions.iter().any(|&s| s < p) {
-                    out.push(Diagnostic {
-                        file: file.to_string(),
-                        line: t.line,
-                        rule: RuleId::FsyncBeforeRename,
-                        message: format!(
-                            "fn `{}` calls `rename` with no preceding sync_all/sync_data/sync_dir \
-                             in the same function; an unsynced rename can publish a torn file \
-                             after a crash",
-                            func.name
-                        ),
-                        chain: Vec::new(),
-                        allowed: None,
-                    });
-                }
-            }
-            "write_all" => io_calls.push(p),
-            _ => {}
+            continue;
+        }
+        if !DURABILITY_CALLS.contains(&name) {
+            continue;
+        }
+        io_calls.push(p);
+        if SYNC_CALLS.contains(&name) {
+            sync_positions.push(p);
+        } else if name == "rename" && !sync_positions.iter().any(|&s| s < p) {
+            out.push(Diagnostic {
+                file: file.to_string(),
+                line: t.line,
+                rule: RuleId::FsyncBeforeRename,
+                message: format!(
+                    "fn `{}` calls `rename` with no preceding sync_all/sync_data/sync_dir in the \
+                     same function; an unsynced rename can publish a torn file after a crash",
+                    func.name
+                ),
+                chain: Vec::new(),
+                allowed: None,
+            });
         }
     }
-    // `sync_dir` is counted for fsync-before-rename but is itself in the
-    // fsync family, so it participates in coverage too — handled above.
-    let _ = DURABILITY_CALLS;
 
     if fp_count == 0 {
         if let Some(&first) = io_calls.first() {

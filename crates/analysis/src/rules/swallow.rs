@@ -27,7 +27,8 @@ use crate::scope::Func;
 
 /// Commit-point calls beyond the raw device set whose `Result` must not
 /// be discarded.
-const COMMIT_CALLS: &[&str] = &["flush", "write_all", "commit", "rollback", "checkpoint"];
+const COMMIT_CALLS: &[&str] =
+    &["flush", "write_all", "write_all_at", "commit", "rollback", "checkpoint"];
 
 fn is_durability_call(name: &str) -> bool {
     super::latch::IO_CALLS.contains(&name) || COMMIT_CALLS.contains(&name)

@@ -46,3 +46,18 @@ fn publish_synced(f: &File, dir: &Path) -> io::Result<()> {
     std::fs::rename(dir.join("tmp"), dir.join("live"))?;
     Ok(())
 }
+
+/// BAD: a positional page write with no fault_point in the function.
+fn write_page_uncovered(f: &File, page: &[u8]) -> io::Result<()> {
+    f.write_all_at(page, 0)?;
+    Ok(())
+}
+
+/// GOOD: the same positional write behind an injection site.
+fn write_page_covered(f: &File, page: &[u8]) -> io::Result<()> {
+    if fault_point("fixture.page") == FaultAction::Error {
+        return Err(injected());
+    }
+    f.write_all_at(page, 0)?;
+    Ok(())
+}

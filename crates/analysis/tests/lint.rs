@@ -77,8 +77,9 @@ fn fault_coverage_unique_and_fsync_rules_fire() {
     let diags = analyze(&ws);
 
     let cov = of_rule(&diags, RuleId::FaultCoverage);
-    assert_eq!(cov.len(), 1, "{cov:?}");
+    assert_eq!(cov.len(), 2, "{cov:?}");
     assert!(mentions(&cov, "write_meta_uncovered"));
+    assert!(mentions(&cov, "write_page_uncovered") && mentions(&cov, "write_all_at"));
 
     let uniq = of_rule(&diags, RuleId::FaultUnique);
     assert_eq!(uniq.len(), 1, "{uniq:?}");
@@ -255,6 +256,22 @@ fn stripping_a_wal_fault_point_fails_the_lint() {
         open.contains(&RuleId::FaultCoverage) && open.contains(&RuleId::FaultMatrix),
         "expected coverage+matrix findings, got {open:?}"
     );
+}
+
+/// Mutation: stripping the injection site from the page store's positional
+/// write must fail `fault-coverage`, so `FilePageStore::write` stays a
+/// durability path the lint watches.
+#[test]
+fn stripping_the_page_write_fault_point_fails_coverage() {
+    let mut ws = Workspace::load(&repo_root()).unwrap();
+    let io = ws.file_mut("crates/storage/src/paged/io.rs").expect("io.rs in workspace");
+    assert!(io.contains("write_all_at"), "io.rs should write pages positionally");
+    let site = "fault_point(\"page.write\")";
+    assert_eq!(io.matches(site).count(), 1, "io.rs should declare the page.write site once");
+    *io = io.replace(site, "FaultAction::Continue");
+    let cov = of_rule(&analyze(&ws), RuleId::FaultCoverage);
+    assert_eq!(cov.len(), 1, "{cov:?}");
+    assert!(cov[0].file.ends_with("paged/io.rs") && mentions(&cov, "write_all_at"), "{cov:?}");
 }
 
 /// Mutation: renaming a single site desynchronizes the crash matrix in

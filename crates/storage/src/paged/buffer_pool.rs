@@ -5,18 +5,24 @@
 //! pool exposes the same knob (capacity in pages) plus hit/miss counters so
 //! the benchmark harness can report the breakdown.
 //!
+//! No shard latch is held across a page read: a miss notes its shard's
+//! store-write generation, drops the latch, reads the page, and re-takes
+//! the latch to install it (see [`BufferPool::read`]). Concurrent misses,
+//! even on a one-shard pool, therefore overlap their I/O.
+//!
 //! The pool is split into independent *shards* — inner pools keyed by
-//! `page_id % shards`, each behind its own mutex with its own clock hand —
-//! so concurrent readers touching different pages do not serialize on a
-//! single lock. [`BufferPool::new`] builds a single-shard pool (fully
-//! deterministic replacement, the right default for the small pools the
-//! experiments configure); [`BufferPool::new_sharded`] spreads the capacity
-//! across N shards for parallel execution paths.
+//! `page_id % shards`, each behind its own mutex with its own clock hand.
+//! Since misses already read outside the latch, sharding only spreads
+//! contention on the hit path (map lookup, copy-out under the latch).
+//! [`BufferPool::new`] builds a single-shard pool (fully deterministic
+//! replacement, the right default for the small pools the experiments
+//! configure); [`BufferPool::new_sharded`] spreads the capacity across N
+//! shards.
 
 use super::io::PageStore;
 use super::page::{Page, PageId};
 use crate::Result;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -26,6 +32,12 @@ use std::sync::Arc;
 /// The counters are shared by all shards (they are lock-free atomics), so
 /// [`BufferPool::stats`] always reports pool-wide aggregates no matter how
 /// the capacity is sharded.
+///
+/// A miss is counted once, when the page it read is installed. When two
+/// threads miss on the same page at once, the one that finds the page
+/// already installed on re-taking the latch counts a hit, so `misses`
+/// equals the number of installs from the store; a failed store read
+/// counts neither.
 #[derive(Debug, Default)]
 pub struct PoolStats {
     hits: AtomicU64,
@@ -39,7 +51,7 @@ impl PoolStats {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Lookups that had to read from the store.
+    /// Lookups that read their page from the store and installed it.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
@@ -72,6 +84,10 @@ struct PoolInner {
     /// scan a fill used to pay per install.
     free: Vec<usize>,
     clock_hand: usize,
+    /// Store writes issued under this shard's latch (dirty write-backs on
+    /// eviction, [`BufferPool::flush`]). A miss that read its page outside
+    /// the latch installs the copy only if this has not moved meanwhile.
+    store_writes: u64,
 }
 
 impl PoolInner {
@@ -83,6 +99,7 @@ impl PoolInner {
             // fill order the old linear scan produced.
             free: (0..capacity).rev().collect(),
             clock_hand: 0,
+            store_writes: 0,
         }
     }
 }
@@ -161,37 +178,56 @@ impl BufferPool {
     /// the page-miss cost we are modeling and is charged to both hits and
     /// misses uniformly. Batch callers amortize the lock + map lookup by
     /// extracting many values under one `f`.
+    ///
+    /// On a miss the shard latch is not held across the store read, so
+    /// threads missing on different pages read in parallel; `f` itself runs
+    /// under the latch.
     pub fn read<T>(&self, id: PageId, f: impl FnOnce(&Page) -> T) -> Result<T> {
-        let mut inner = self.shard(id).lock();
-        if let Some(&frame_idx) = inner.map.get(&id) {
-            self.stats.hits.fetch_add(1, Ordering::Relaxed);
-            let frame = inner.frames[frame_idx].as_mut().expect("mapped frame exists");
-            frame.referenced = true;
-            return Ok(f(&frame.page));
-        }
-        self.stats.misses.fetch_add(1, Ordering::Relaxed);
-        let page = self.store.read(id)?;
-        let frame_idx = self.install(&mut inner, id, page)?;
-        let frame = inner.frames[frame_idx].as_ref().expect("installed frame exists");
+        let (mut inner, idx) = self.resident(id)?;
+        let frame = inner.frames[idx].as_mut().expect("resident frame exists");
+        frame.referenced = true;
         Ok(f(&frame.page))
     }
 
     /// Mutate a page through the pool; the frame is marked dirty and written
-    /// back on eviction or [`flush`](Self::flush).
+    /// back on eviction or [`flush`](Self::flush). A miss reads outside the
+    /// latch, as in [`read`](Self::read).
     pub fn write<T>(&self, id: PageId, f: impl FnOnce(&mut Page) -> T) -> Result<T> {
-        let mut inner = self.shard(id).lock();
-        let frame_idx = if let Some(&idx) = inner.map.get(&id) {
-            self.stats.hits.fetch_add(1, Ordering::Relaxed);
-            idx
-        } else {
-            self.stats.misses.fetch_add(1, Ordering::Relaxed);
-            let page = self.store.read(id)?;
-            self.install(&mut inner, id, page)?
-        };
-        let frame = inner.frames[frame_idx].as_mut().expect("frame exists");
+        let (mut inner, idx) = self.resident(id)?;
+        let frame = inner.frames[idx].as_mut().expect("resident frame exists");
         frame.referenced = true;
         frame.dirty = true;
         Ok(f(&mut frame.page))
+    }
+
+    /// The latched shard of `id` and the frame `id` occupies in it, read
+    /// from the store on a miss.
+    ///
+    /// The store read runs with the latch released. On re-taking it, a
+    /// frame another thread installed meanwhile wins, and this lookup counts
+    /// a hit. Otherwise the copy is installed only if the shard issued no
+    /// store write in between: a write-back of this page during the read
+    /// could have left the copy stale or torn, so the page is read once
+    /// more, under the latch.
+    fn resident(&self, id: PageId) -> Result<(MutexGuard<'_, PoolInner>, usize)> {
+        let shard = self.shard(id);
+        let inner = shard.lock();
+        if let Some(&idx) = inner.map.get(&id) {
+            self.stats.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok((inner, idx));
+        }
+        let generation = inner.store_writes;
+        drop(inner);
+        let copy = self.store.read(id);
+        let mut inner = shard.lock();
+        if let Some(&idx) = inner.map.get(&id) {
+            self.stats.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok((inner, idx));
+        }
+        let page = if inner.store_writes == generation { copy? } else { self.store.read(id)? };
+        self.stats.misses.fetch_add(1, Ordering::Relaxed);
+        let idx = self.install(&mut inner, id, page)?;
+        Ok((inner, idx))
     }
 
     /// Write all dirty frames back to the store and [`PageStore::sync`] it,
@@ -199,9 +235,10 @@ impl BufferPool {
     /// written pages could still sit in the OS page cache at a crash).
     pub fn flush(&self) -> Result<()> {
         for shard in &self.shards {
-            let mut inner = shard.lock();
+            let inner = &mut *shard.lock();
             for frame in inner.frames.iter_mut().flatten() {
                 if frame.dirty {
+                    inner.store_writes += 1;
                     self.store.write(frame.page_id, &frame.page)?;
                     frame.dirty = false;
                 }
@@ -250,6 +287,7 @@ impl BufferPool {
             }
             // Victim found.
             if frame.dirty {
+                inner.store_writes += 1;
                 self.store.write(frame.page_id, &frame.page)?;
             }
             inner.map.remove(&frame.page_id);
@@ -279,7 +317,10 @@ impl Drop for BufferPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::paged::io::SimulatedPageStore;
+    use crate::paged::io::{IoStats, SimulatedPageStore};
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Condvar;
+    use std::time::Duration;
 
     fn pool(cap: usize) -> BufferPool {
         BufferPool::new(Arc::new(SimulatedPageStore::new()), cap)
@@ -287,6 +328,89 @@ mod tests {
 
     fn sharded(cap: usize, shards: usize) -> BufferPool {
         BufferPool::new_sharded(Arc::new(SimulatedPageStore::new()), cap, shards)
+    }
+
+    /// A [`SimulatedPageStore`] that calls `after_read` once a read has
+    /// fetched its bytes and before it returns them, so a test can hold a
+    /// reader inside `PageStore::read`.
+    struct HookStore<H> {
+        inner: SimulatedPageStore,
+        after_read: H,
+    }
+
+    impl<H: Fn() + Send + Sync> PageStore for HookStore<H> {
+        fn allocate(&self) -> PageId {
+            self.inner.allocate()
+        }
+
+        fn read(&self, id: PageId) -> Result<Page> {
+            let page = self.inner.read(id)?;
+            (self.after_read)();
+            Ok(page)
+        }
+
+        fn write(&self, id: PageId, page: &Page) -> Result<()> {
+            self.inner.write(id, page)
+        }
+
+        fn page_count(&self) -> u64 {
+            self.inner.page_count()
+        }
+
+        fn stats(&self) -> &IoStats {
+            self.inner.stats()
+        }
+    }
+
+    fn hooked(cap: usize, after_read: impl Fn() + Send + Sync + 'static) -> BufferPool {
+        BufferPool::new(Arc::new(HookStore { inner: SimulatedPageStore::new(), after_read }), cap)
+    }
+
+    /// A one-shot flag that a waiter gives up on after five seconds, so a
+    /// pool that serializes its misses fails the tests below instead of
+    /// hanging them.
+    #[derive(Default)]
+    struct Flag(std::sync::Mutex<bool>, Condvar);
+
+    impl Flag {
+        fn set(&self) {
+            *self.0.lock().unwrap() = true;
+            self.1.notify_all();
+        }
+
+        fn wait(&self) {
+            let set = self.0.lock().unwrap();
+            let _ = self.1.wait_timeout_while(set, Duration::from_secs(5), |set| !*set).unwrap();
+        }
+    }
+
+    /// A pool whose next store read, once armed, parks after fetching its
+    /// bytes: it sets `fetched`, then waits for `released`.
+    struct Parking {
+        pool: BufferPool,
+        armed: Arc<AtomicBool>,
+        fetched: Arc<Flag>,
+        released: Arc<Flag>,
+    }
+
+    impl Parking {
+        fn new(cap: usize) -> Self {
+            let armed = Arc::new(AtomicBool::new(false));
+            let fetched = Arc::new(Flag::default());
+            let released = Arc::new(Flag::default());
+            let (a, f, r) = (armed.clone(), fetched.clone(), released.clone());
+            let pool = hooked(cap, move || {
+                if a.swap(false, Ordering::SeqCst) {
+                    f.set();
+                    r.wait();
+                }
+            });
+            Parking { pool, armed, fetched, released }
+        }
+
+        fn arm(&self) {
+            self.armed.store(true, Ordering::SeqCst);
+        }
     }
 
     #[test]
@@ -504,5 +628,85 @@ mod tests {
         });
         // 32 pages through 16 frames: plenty of concurrent churn.
         assert!(p.stats().evictions() > 0);
+    }
+
+    #[test]
+    fn stale_read_after_concurrent_write_back_is_discarded() {
+        // Capacity 1. The first read of x parks after fetching x's bytes.
+        // Meanwhile the main thread installs x, appends a record and evicts
+        // x dirty, so the store now holds a newer image than the parked
+        // copy. The parked reader must not install its copy.
+        let t = Parking::new(1);
+        let p = &t.pool;
+        let x = p.allocate(8).unwrap();
+        p.write(x, |page| page.insert(&1u64.to_le_bytes()).unwrap()).unwrap();
+        let y = p.allocate(8).unwrap(); // evicts x: the store holds one record
+        t.arm();
+        std::thread::scope(|s| {
+            let parked = s.spawn(|| p.read(x, |page| page.count()).unwrap());
+            t.fetched.wait();
+            p.write(x, |page| page.insert(&2u64.to_le_bytes()).unwrap()).unwrap();
+            p.read(y, |_| ()).unwrap(); // evicts x dirty: a store write
+            t.released.set();
+            assert_eq!(parked.join().unwrap(), 2, "parked reader returned its stale copy");
+        });
+        assert_eq!(p.read(x, |page| page.count()).unwrap(), 2, "stale copy left resident");
+    }
+
+    #[test]
+    fn a_miss_that_loses_the_install_race_counts_a_hit() {
+        // The first read of x parks after fetching; the main thread then
+        // misses on x and installs it. The parked reader finds x resident
+        // and uses that frame: one miss and one hit, two store reads.
+        let t = Parking::new(2);
+        let p = &t.pool;
+        let x = p.allocate(8).unwrap();
+        p.clear().unwrap();
+        p.stats().reset();
+        t.arm();
+        std::thread::scope(|s| {
+            let parked = s.spawn(|| p.read(x, |_| ()).unwrap());
+            t.fetched.wait();
+            p.read(x, |_| ()).unwrap();
+            t.released.set();
+            parked.join().unwrap();
+        });
+        assert_eq!((p.stats().misses(), p.stats().hits()), (1, 1));
+        assert_eq!(p.store().stats().reads(), 2);
+    }
+
+    #[test]
+    fn misses_on_one_shard_overlap_their_store_reads() {
+        // Each store read waits, bounded, until the other thread is inside
+        // `PageStore::read` too. A latch held across the read would keep
+        // the second thread out: the first times out and the test fails
+        // instead of hanging.
+        let met = Arc::new((std::sync::Mutex::new((0usize, false)), Condvar::new()));
+        let p = {
+            let met = met.clone();
+            hooked(2, move || {
+                let (lock, cv) = &*met;
+                let mut state = lock.lock().unwrap();
+                state.0 += 1;
+                if state.0 == 2 {
+                    state.1 = true;
+                    cv.notify_all();
+                }
+                let (mut state, _) =
+                    cv.wait_timeout_while(state, Duration::from_secs(5), |s| !s.1).unwrap();
+                state.0 -= 1;
+            })
+        };
+        assert_eq!(p.shard_count(), 1);
+        let (a, b) = (p.allocate(8).unwrap(), p.allocate(8).unwrap());
+        p.clear().unwrap();
+        std::thread::scope(|s| {
+            for id in [a, b] {
+                let p = &p;
+                s.spawn(move || p.read(id, |_| ()).unwrap());
+            }
+        });
+        assert!(met.0.lock().unwrap().1, "two misses on one shard never overlapped in the store");
+        assert_eq!(p.stats().misses(), 2);
     }
 }

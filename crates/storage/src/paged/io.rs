@@ -4,8 +4,9 @@
 //! We abstract the backing device behind [`PageStore`] with two
 //! implementations:
 //!
-//! * [`FilePageStore`] — a real file; reads/writes are real syscalls, so on
-//!   a machine with a real disk the cost structure is genuine.
+//! * [`FilePageStore`] — a real file; each read/write is one positional
+//!   syscall (`pread`/`pwrite`), so on a machine with a real disk the cost
+//!   structure is genuine and concurrent page reads do not queue.
 //! * [`SimulatedPageStore`] — an in-memory store that charges a configurable
 //!   busy-wait latency per access, so the "storage fetch dominates" regime
 //!   of Fig. 24 reproduces deterministically even on a RAM-backed CI box.
@@ -18,7 +19,7 @@ use crate::fault::{fault_point, injected_error, FaultAction};
 use crate::Result;
 use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -105,8 +106,14 @@ pub trait PageStore: Send + Sync {
 }
 
 /// A [`PageStore`] backed by a real file.
+///
+/// Pages are read and written with positional I/O (`read_exact_at` /
+/// `write_all_at`) on a shared `File`, with no mutex: a call names its own
+/// offset, so there is no file cursor to guard and concurrent reads of
+/// different pages proceed in parallel. Ordering between a read and a
+/// write of the same page is the caller's job (the buffer pool's).
 pub struct FilePageStore {
-    file: Mutex<File>,
+    file: File,
     path: PathBuf,
     next_page: AtomicU64,
     stats: IoStats,
@@ -137,7 +144,7 @@ impl FilePageStore {
         #[allow(clippy::suspicious_open_options)]
         let file = OpenOptions::new().read(true).write(true).create(true).open(path)?;
         Ok(FilePageStore {
-            file: Mutex::new(file),
+            file,
             path: path.to_path_buf(),
             next_page: AtomicU64::new(0),
             stats: IoStats::default(),
@@ -152,7 +159,7 @@ impl FilePageStore {
         let file = OpenOptions::new().read(true).write(true).open(path)?;
         let pages = file.metadata()?.len() / PAGE_SIZE as u64;
         Ok(FilePageStore {
-            file: Mutex::new(file),
+            file,
             path: path.to_path_buf(),
             next_page: AtomicU64::new(pages),
             stats: IoStats::default(),
@@ -174,12 +181,10 @@ impl PageStore for FilePageStore {
         if fault_point("page.read") == FaultAction::Error {
             return Err(StorageError::Io(injected_error("page.read")));
         }
-        let mut file = self.file.lock();
-        file.seek(SeekFrom::Start(id * PAGE_SIZE as u64))?;
-        let mut buf = [0u8; PAGE_SIZE];
-        file.read_exact(&mut buf)?;
+        let mut page = Page::zeroed();
+        self.file.read_exact_at(page.as_bytes_mut(), id * PAGE_SIZE as u64)?;
         self.stats.record_read();
-        Ok(Page::from_bytes(&buf))
+        Ok(page)
     }
 
     fn write(&self, id: PageId, page: &Page) -> Result<()> {
@@ -197,9 +202,7 @@ impl PageStore for FilePageStore {
             }
             FaultAction::Continue => {}
         }
-        let mut file = self.file.lock();
-        file.seek(SeekFrom::Start(id * PAGE_SIZE as u64))?;
-        file.write_all(page.as_bytes())?;
+        self.file.write_all_at(page.as_bytes(), id * PAGE_SIZE as u64)?;
         self.stats.record_write();
         Ok(())
     }
@@ -219,7 +222,7 @@ impl PageStore for FilePageStore {
             FaultAction::Skip => return Ok(()),
             FaultAction::Continue => {}
         }
-        self.file.lock().sync_all()?;
+        self.file.sync_all()?;
         Ok(())
     }
 

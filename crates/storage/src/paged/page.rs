@@ -61,6 +61,17 @@ impl Page {
         Page { buf: Box::new(*bytes) }
     }
 
+    /// An all-zero page for a store to read an image straight into (see
+    /// [`as_bytes_mut`](Self::as_bytes_mut)); not a formatted page.
+    pub(crate) fn zeroed() -> Self {
+        Page { buf: Box::new([0u8; PAGE_SIZE]) }
+    }
+
+    /// Raw bytes, writable (for reading from a store).
+    pub(crate) fn as_bytes_mut(&mut self) -> &mut [u8; PAGE_SIZE] {
+        &mut self.buf
+    }
+
     /// Raw bytes (for writing to a store).
     pub fn as_bytes(&self) -> &[u8; PAGE_SIZE] {
         &self.buf
